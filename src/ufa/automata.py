@@ -4,12 +4,22 @@ checking, and subset determinization in both directions.
 States are plain integers ``0..state_count-1``; words are tuples of symbol
 labels.  Everything here is pure: automata are frozen dataclasses and every
 operation returns new values.
+
+The subset constructions represent a subset of base states as an int mask
+(bit q set iff state q is a member).  Each base state's one-letter images
+for all letters are packed into one int, a subset's images are the OR of
+memoized per-byte chunk images, and the packed result is unpacked into
+per-letter masks in one pass.  SubsetAutomaton keeps the masks; its
+``states`` tuple of frozensets is built only when first read.
 """
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+
+from .graphs import _bits
 
 Word = tuple[str, ...]
 
@@ -103,21 +113,23 @@ class Nfa:
     def _symbols(self) -> frozenset:
         return frozenset(self.alphabet)
 
+    def _rows(self, here: int, there: int):
+        """Per symbol, per state at position ``here`` of the transition
+        triples, the sorted tuple of states at position ``there``."""
+        rows = {a: [[] for _ in range(self.state_count)] for a in self.alphabet}
+        for triple in self.transitions:
+            rows[triple[1]][triple[here]].append(triple[there])
+        return {a: tuple(tuple(sorted(t)) for t in per_state) for a, per_state in rows.items()}
+
     @cached_property
     def _succ(self):
         """Per symbol, per source state, the sorted tuple of successors."""
-        rows = {a: [[] for _ in range(self.state_count)] for a in self.alphabet}
-        for src, sym, dst in self.transitions:
-            rows[sym][src].append(dst)
-        return {a: tuple(tuple(sorted(t)) for t in per_state) for a, per_state in rows.items()}
+        return self._rows(0, 2)
 
     @cached_property
     def _pred(self):
         """Per symbol, per target state, the sorted tuple of predecessors."""
-        rows = {a: [[] for _ in range(self.state_count)] for a in self.alphabet}
-        for src, sym, dst in self.transitions:
-            rows[sym][dst].append(src)
-        return {a: tuple(tuple(sorted(t)) for t in per_state) for a, per_state in rows.items()}
+        return self._rows(2, 0)
 
 
 def _require_symbol(nfa: Nfa, a: str):
@@ -261,11 +273,13 @@ def is_unambiguous(nfa: Nfa):
 class SubsetAutomaton:
     """Result of a forward or backward subset construction.
 
-    ``states`` lists the discovered subsets of base states in breadth-first
-    order; only subsets actually reached appear (the empty subset included
-    exactly when it is reached).  ``entry`` indexes the seed subset: the
-    initial set forward, the final set backward.  ``transition_table[i][j]``
-    is the image of state ``i`` under ``base.alphabet[j]``; in the backward
+    ``masks`` lists the discovered subsets of base states in breadth-first
+    order, each as an int with bit q set iff base state q is a member; only
+    subsets actually reached appear (the empty subset, mask 0, included
+    exactly when it is reached).  ``states`` is the same list as frozensets,
+    built on first read.  ``entry`` indexes the seed subset: the initial set
+    forward, the final set backward.  ``transition_table[i][j]`` is the
+    image of state ``i`` under ``base.alphabet[j]``; in the backward
     direction the image is the one-letter preimage, so viewed as an
     automaton the edge runs from the image back to ``i``.  ``marked`` holds
     the states whose subset meets base.final (forward) or base.initial
@@ -274,54 +288,47 @@ class SubsetAutomaton:
 
     base: Nfa
     direction: str
-    states: tuple
+    masks: tuple
     transition_table: tuple
     entry: int
     marked: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(frozenset(s) for s in self.states))
+        object.__setattr__(self, "masks", tuple(self.masks))
         object.__setattr__(
             self, "transition_table", tuple(tuple(row) for row in self.transition_table)
         )
         object.__setattr__(self, "marked", frozenset(self.marked))
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {_DIRECTIONS}")
-        if len(self.transition_table) != len(self.states):
+        if len(self.transition_table) != len(self.masks):
             raise ValueError("transition table must cover every state")
         width = len(self.base.alphabet)
         if any(len(row) != width for row in self.transition_table):
             raise ValueError("each transition table row must cover the alphabet")
-        if not 0 <= self.entry < len(self.states):
+        if not 0 <= self.entry < len(self.masks):
             raise ValueError("entry state out of range")
+
+    @cached_property
+    def states(self) -> tuple:
+        """The subsets of ``masks`` as frozensets of base states."""
+        return tuple(frozenset(_bits(mask)) for mask in self.masks)
 
     @property
     def state_count(self) -> int:
-        return len(self.states)
+        return len(self.masks)
 
     def _to_nfa(self, marked) -> Nfa:
-        triples = set()
-        if self.direction == FORWARD:
-            for i, row in enumerate(self.transition_table):
-                for a, j in zip(self.base.alphabet, row):
-                    triples.add((i, a, j))
-            return Nfa(
-                len(self.states),
-                self.base.alphabet,
-                triples,
-                frozenset({self.entry}),
-                marked,
-            )
-        for i, row in enumerate(self.transition_table):
-            for a, j in zip(self.base.alphabet, row):
-                triples.add((j, a, i))
-        return Nfa(
-            len(self.states),
-            self.base.alphabet,
-            triples,
-            marked,
-            frozenset({self.entry}),
+        forward = self.direction == FORWARD
+        # Built as a frozenset so that Nfa keeps it instead of copying it.
+        triples = frozenset(
+            (i, a, j) if forward else (j, a, i)
+            for i, row in enumerate(self.transition_table)
+            for a, j in zip(self.base.alphabet, row)
         )
+        entry = frozenset({self.entry})
+        initial, final = (entry, marked) if forward else (marked, entry)
+        return Nfa(self.state_count, self.base.alphabet, triples, initial, final)
 
     def as_nfa(self) -> Nfa:
         """The construction as a plain automaton for the base language.
@@ -340,8 +347,35 @@ class SubsetAutomaton:
         backward-deterministic automaton complements its language, so the
         result recognizes exactly the words the base automaton rejects.
         """
-        inverted = frozenset(range(len(self.states))) - self.marked
+        inverted = frozenset(range(self.state_count)) - self.marked
         return self._to_nfa(inverted)
+
+
+def _mask(states) -> int:
+    return sum(1 << q for q in states)
+
+
+def _field_reader(state_count: int, columns: int):
+    """Field width in bytes for one column's mask in a packed image, and a
+    function from a packed image to its per-column masks.
+
+    Up to 64 states on a little-endian host the width is rounded up to 1,
+    2, 4 or 8 bytes, so one memoryview cast unpacks every column at once;
+    otherwise each field is read with int.from_bytes.
+    """
+    width = max(1, (state_count + 7) // 8)
+    if width <= 8 and sys.byteorder == "little":
+        width = 1 << (width - 1).bit_length()
+        code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+        size = width * columns
+        return width, lambda image: memoryview(image.to_bytes(size, "little")).cast(code)
+    size = width * columns
+
+    def read(image):
+        data = image.to_bytes(size, "little")
+        return [int.from_bytes(data[at : at + width], "little") for at in range(0, size, width)]
+
+    return width, read
 
 
 def _determinize(nfa: Nfa, direction: str, cap: int) -> SubsetAutomaton:
@@ -351,31 +385,56 @@ def _determinize(nfa: Nfa, direction: str, cap: int) -> SubsetAutomaton:
         rows_by_symbol, seed, mark_against = nfa._succ, nfa.initial, nfa.final
     else:
         rows_by_symbol, seed, mark_against = nfa._pred, nfa.final, nfa.initial
-    states = [frozenset(seed)]
-    index = {states[0]: 0}
+    width, read_fields = _field_reader(nfa.state_count, len(nfa.alphabet))
+    # packed[q] holds q's one-letter image under alphabet[j] in bytes
+    # [j * width, (j + 1) * width).
+    packed = [
+        int.from_bytes(
+            b"".join(_mask(rows_by_symbol[a][q]).to_bytes(width, "little") for a in nfa.alphabet),
+            "little",
+        )
+        for q in range(nfa.state_count)
+    ]
+    # chunk_images[c][b]: OR of packed[8 * c + i] over the bits i of byte b,
+    # filled in on first use.
+    chunk_count = (nfa.state_count + 7) // 8
+    chunk_images = [[None] * 256 for _ in range(chunk_count)]
+    masks = [_mask(seed)]
+    index = {masks[0]: 0}
+    lookup = index.get
     table = []
-    pos = 0
-    while pos < len(states):
-        current = states[pos]
-        row = []
-        for a in nfa.alphabet:
-            rows = rows_by_symbol[a]
-            image = set()
-            for q in current:
-                image.update(rows[q])
-            subset = frozenset(image)
-            j = index.get(subset)
-            if j is None:
-                if len(states) >= cap:
-                    raise CapExceededError(direction, cap, len(states))
-                j = len(states)
-                index[subset] = j
-                states.append(subset)
-            row.append(j)
-        table.append(tuple(row))
-        pos += 1
-    marked = frozenset(i for i, subset in enumerate(states) if subset & mark_against)
-    return SubsetAutomaton(nfa, direction, tuple(states), tuple(table), 0, marked)
+    # Iterating a list visits what is appended during the loop, which makes
+    # this the breadth-first worklist.
+    for mask in masks:
+        image = 0
+        for c, byte in enumerate(mask.to_bytes(chunk_count, "little")):
+            if byte:
+                part = chunk_images[c][byte]
+                if part is None:
+                    part = 0
+                    for i in _bits(byte):
+                        part |= packed[8 * c + i]
+                    chunk_images[c][byte] = part
+                image |= part
+        fields = read_fields(image)
+        row = tuple(map(lookup, fields))
+        if None in row:
+            row = list(row)
+            for j, target in enumerate(row):
+                if target is None:
+                    subset = fields[j]
+                    target = lookup(subset)
+                    if target is None:
+                        if len(masks) >= cap:
+                            raise CapExceededError(direction, cap, len(masks))
+                        target = index[subset] = len(masks)
+                        masks.append(subset)
+                    row[j] = target
+            row = tuple(row)
+        table.append(row)
+    against = _mask(mark_against)
+    marked = frozenset(i for i, mask in enumerate(masks) if mask & against)
+    return SubsetAutomaton(nfa, direction, masks, table, 0, marked)
 
 
 def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:

@@ -155,6 +155,12 @@ def cmd_count_cliques(args) -> int:
     return EXIT_OK if holds else EXIT_VIOLATION
 
 
+def _nonnegative(value: int, flag: str) -> int:
+    if value < 0:
+        raise _UsageError(f"{flag} must be nonnegative, got {value}")
+    return value
+
+
 def _tightness_line(report) -> str:
     return (
         f"n={report.n} k={report.k} l={report.l} "
@@ -165,7 +171,7 @@ def _tightness_line(report) -> str:
 
 def cmd_witness(args) -> int:
     cap = _resolve_cap(args)
-    automaton = bridge.witness_ufa(args.n)
+    automaton = bridge.witness_ufa(_nonnegative(args.n, "--n"))
     report = bridge.TightnessReport(
         args.n,
         forward_determinize(automaton, cap).state_count,
@@ -179,7 +185,7 @@ def cmd_witness(args) -> int:
 def cmd_verify_tightness(args) -> int:
     cap = _resolve_cap(args)
     all_hold = True
-    for n in range(args.max_n + 1):
+    for n in range(_nonnegative(args.max_n, "--max-n") + 1):
         report = bridge.verify_tightness(n, cap)
         print(_tightness_line(report))
         all_hold = all_hold and report.holds
@@ -190,7 +196,7 @@ def cmd_verify_graphs(args) -> int:
     if args.max_n > MAX_EXHAUSTIVE_N:
         raise _UsageError(f"--max-n must be at most {MAX_EXHAUSTIVE_N}")
     total_violations = 0
-    for n in range(args.max_n + 1):
+    for n in range(_nonnegative(args.max_n, "--max-n") + 1):
         count = 0
         violations = 0
         for graph in graphs.all_graphs(n):

@@ -8,7 +8,7 @@ agreement with the fast implementations is meaningful.
 
 from itertools import combinations
 
-from ufa import Graph, Nfa
+from ufa import FORWARD, CapExceededError, Graph, Nfa
 
 
 def a_plus() -> Nfa:
@@ -135,6 +135,47 @@ def word_run_counts(nfa: Nfa, max_len: int) -> dict:
 def language(nfa: Nfa, max_len: int) -> set:
     """All accepted words up to max_len, per the run-count oracle."""
     return {word for word, count in word_run_counts(nfa, max_len).items() if count}
+
+
+def reference_determinize(nfa: Nfa, direction: str, cap: int):
+    """The subset construction on frozensets, from the raw transition triples.
+
+    Returns (states, transition_table, entry, marked) with the library's
+    discovery order: breadth first, seed first, columns in alphabet order.
+    Raises CapExceededError when a new subset would exceed ``cap``.
+    """
+    images = {}
+    for src, sym, dst in nfa.transitions:
+        if direction != FORWARD:
+            src, dst = dst, src
+        images.setdefault((src, sym), set()).add(dst)
+    if direction == FORWARD:
+        seed, mark_against = nfa.initial, nfa.final
+    else:
+        seed, mark_against = nfa.final, nfa.initial
+    states = [frozenset(seed)]
+    index = {states[0]: 0}
+    table = []
+    pos = 0
+    while pos < len(states):
+        row = []
+        for a in nfa.alphabet:
+            image = set()
+            for q in states[pos]:
+                image |= images.get((q, a), set())
+            subset = frozenset(image)
+            j = index.get(subset)
+            if j is None:
+                if len(states) >= cap:
+                    raise CapExceededError(direction, cap, len(states))
+                j = len(states)
+                index[subset] = j
+                states.append(subset)
+            row.append(j)
+        table.append(tuple(row))
+        pos += 1
+    marked = frozenset(i for i, subset in enumerate(states) if subset & mark_against)
+    return tuple(states), tuple(table), 0, marked
 
 
 def run_cli(argv, capsys):

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from ufa import (
+    BACKWARD,
+    FORWARD,
     AmbiguousAutomatonError,
     BoundReport,
     CapExceededError,
@@ -19,12 +21,15 @@ from ufa import (
     step_backward,
     step_forward,
 )
+from ufa.bridge import witness_ufa
 from helpers import (
     a_plus,
     a_star,
     enumerate_accepting_runs,
     language,
     random_nfa,
+    random_nfa_any,
+    reference_determinize,
     two_loop,
     word_run_counts,
 )
@@ -210,6 +215,84 @@ class TestDeterminize:
                 for q in range(result.state_count)
                 for sym in result.alphabet
             )
+
+
+def _engine_determinize(nfa, direction, cap):
+    construct = forward_determinize if direction == FORWARD else backward_determinize
+    result = construct(nfa, cap)
+    return result.states, result.transition_table, result.entry, result.marked
+
+
+def _outcome(build, nfa, direction, cap):
+    try:
+        return build(nfa, direction, cap)
+    except CapExceededError as exc:
+        return "cap", exc.direction, exc.cap, exc.partial_count
+
+
+def _assert_engine_matches_reference(nfa, cap=3000):
+    for direction in (FORWARD, BACKWARD):
+        assert _outcome(_engine_determinize, nfa, direction, cap) == _outcome(
+            reference_determinize, nfa, direction, cap
+        )
+
+
+def _sparse_nfa(rng, n, letters) -> Nfa:
+    """About one edge per state and letter, so subset counts stay modest
+    while masks span every field width of the packed images."""
+    alphabet = tuple("abc"[:letters])
+    transitions = {
+        (q, a, rng.randrange(n))
+        for q in range(n)
+        for a in alphabet
+        for _ in range(rng.choice((0, 1, 1, 2)))
+    }
+    initial = {rng.randrange(n) for _ in range(rng.randint(1, 3))}
+    final = {rng.randrange(n) for _ in range(rng.randint(1, 3))}
+    return Nfa(n, alphabet, transitions, initial, final)
+
+
+class TestEngineMatchesReference:
+    """The int-mask engine against the frozenset construction in helpers:
+    identical states, tables, entry and marked sets in both directions."""
+
+    def test_small_random_automata(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            _assert_engine_matches_reference(random_nfa(rng))
+        # random_nfa_any also draws 0 states and the empty alphabet.
+        for _ in range(150):
+            _assert_engine_matches_reference(random_nfa_any(rng))
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64, 65, 90])
+    def test_every_field_width(self, n):
+        rng = random.Random(n)
+        for _ in range(6):
+            _assert_engine_matches_reference(_sparse_nfa(rng, n, rng.randint(1, 3)))
+
+    def test_witness_10(self):
+        _assert_engine_matches_reference(witness_ufa(10))
+
+    def test_chain_over_64_states(self):
+        n = 70
+        transitions = {(q, "a", q + 1) for q in range(n - 1)}
+        transitions |= {(q, "b", q) for q in range(n)}
+        transitions |= {(q, "b", q + 1) for q in range(n - 1)}
+        chain = Nfa(n, ("a", "b"), transitions, {0}, {n - 1})
+        assert forward_determinize(chain).state_count > 1000
+        assert max(backward_determinize(chain).masks).bit_length() == n
+        _assert_engine_matches_reference(chain)
+
+    def test_cap_stops_at_the_same_partial_count(self):
+        rng = random.Random(37)
+        for _ in range(20):
+            nfa = random_nfa(rng, max_states=5)
+            for direction in (FORWARD, BACKWARD):
+                full = len(reference_determinize(nfa, direction, 1 << 20)[0])
+                for cap in range(1, full + 1):
+                    engine = _outcome(_engine_determinize, nfa, direction, cap)
+                    assert engine == _outcome(reference_determinize, nfa, direction, cap)
+                    assert (engine[0] == "cap") == (cap < full)
 
 
 class TestComplement:

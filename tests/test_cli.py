@@ -165,6 +165,12 @@ class TestWitnessCommand:
         assert written == witness_ufa(4)
         assert len(written.alphabet) == 17
 
+    def test_negative_n_exits_2_without_traceback(self, capsys):
+        code, out, err = run_cli(["witness", "--n", "-1"], capsys)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == "error: --n must be nonnegative, got -1\n"
+
 
 class TestVerifyCommands:
     def test_verify_graphs_lines(self, capsys):
@@ -181,6 +187,18 @@ class TestVerifyCommands:
         code, _, err = run_cli(["verify-graphs", "--max-n", "7"], capsys)
         assert code == EXIT_PRECONDITION
         assert "at most 6" in err
+
+    def test_verify_graphs_rejects_negative_n(self, capsys):
+        code, out, err = run_cli(["verify-graphs", "--max-n", "-3"], capsys)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == "error: --max-n must be nonnegative, got -3\n"
+
+    def test_verify_tightness_rejects_negative_n(self, capsys):
+        code, out, err = run_cli(["verify-tightness", "--max-n", "-1"], capsys)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == "error: --max-n must be nonnegative, got -1\n"
 
     def test_verify_tightness(self, capsys):
         code, out, _ = run_cli(["verify-tightness", "--max-n", "4"], capsys)
