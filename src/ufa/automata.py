@@ -8,18 +8,17 @@ operation returns new values.
 The subset constructions represent a subset of base states as an int mask
 (bit q set iff state q is a member).  Each base state's one-letter images
 for all letters are packed into one int, a subset's images are the OR of
-memoized per-byte chunk images, and the packed result is unpacked into
-per-letter masks in one pass.  SubsetAutomaton keeps the masks; its
-``states`` tuple of frozensets is built only when first read.
+memoized chunk images, one per nonzero byte of its mask, and the packed
+result is unpacked into per-letter fields in one ``struct`` call.
+SubsetAutomaton keeps the masks; its ``states`` tuple of frozensets is
+built only when first read.
 """
 
 import math
-import sys
+import struct
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-
-from .graphs import _bits
 
 Word = tuple[str, ...]
 
@@ -312,7 +311,8 @@ class SubsetAutomaton:
     @cached_property
     def states(self) -> tuple:
         """The subsets of ``masks`` as frozensets of base states."""
-        return tuple(frozenset(_bits(mask)) for mask in self.masks)
+        n = self.base.state_count
+        return tuple(frozenset(q for q in range(n) if mask >> q & 1) for mask in self.masks)
 
     @property
     def state_count(self) -> int:
@@ -355,29 +355,6 @@ def _mask(states) -> int:
     return sum(1 << q for q in states)
 
 
-def _field_reader(state_count: int, columns: int):
-    """Field width in bytes for one column's mask in a packed image, and a
-    function from a packed image to its per-column masks.
-
-    Up to 64 states on a little-endian host the width is rounded up to 1,
-    2, 4 or 8 bytes, so one memoryview cast unpacks every column at once;
-    otherwise each field is read with int.from_bytes.
-    """
-    width = max(1, (state_count + 7) // 8)
-    if width <= 8 and sys.byteorder == "little":
-        width = 1 << (width - 1).bit_length()
-        code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
-        size = width * columns
-        return width, lambda image: memoryview(image.to_bytes(size, "little")).cast(code)
-    size = width * columns
-
-    def read(image):
-        data = image.to_bytes(size, "little")
-        return [int.from_bytes(data[at : at + width], "little") for at in range(0, size, width)]
-
-    return width, read
-
-
 def _determinize(nfa: Nfa, direction: str, cap: int) -> SubsetAutomaton:
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -385,9 +362,10 @@ def _determinize(nfa: Nfa, direction: str, cap: int) -> SubsetAutomaton:
         rows_by_symbol, seed, mark_against = nfa._succ, nfa.initial, nfa.final
     else:
         rows_by_symbol, seed, mark_against = nfa._pred, nfa.final, nfa.initial
-    width, read_fields = _field_reader(nfa.state_count, len(nfa.alphabet))
+    width = (nfa.state_count + 7) // 8 or 1
     # packed[q] holds q's one-letter image under alphabet[j] in bytes
-    # [j * width, (j + 1) * width).
+    # [j * width, (j + 1) * width).  These rows take n * |alphabet| * width
+    # bytes in all, quadratic in the state count.
     packed = [
         int.from_bytes(
             b"".join(_mask(rows_by_symbol[a][q]).to_bytes(width, "little") for a in nfa.alphabet),
@@ -395,40 +373,47 @@ def _determinize(nfa: Nfa, direction: str, cap: int) -> SubsetAutomaton:
         )
         for q in range(nfa.state_count)
     ]
-    # chunk_images[c][b]: OR of packed[8 * c + i] over the bits i of byte b,
-    # filled in on first use.
-    chunk_count = (nfa.state_count + 7) // 8
-    chunk_images = [[None] * 256 for _ in range(chunk_count)]
+    fields = struct.Struct(f"{width}s" * len(nfa.alphabet))
+    # parts[32 * shift + byte], for shift a multiple of 8: the OR of
+    # packed[shift + i] over the bits i of byte, filled in on first use.
+    parts = [None] * (256 * width)
     masks = [_mask(seed)]
-    index = {masks[0]: 0}
+    # Subsets are looked up by their width-byte little-endian encoding,
+    # the form in which an unpacked image yields them.
+    index = {masks[0].to_bytes(width, "little"): 0}
     lookup = index.get
     table = []
     # Iterating a list visits what is appended during the loop, which makes
     # this the breadth-first worklist.
     for mask in masks:
         image = 0
-        for c, byte in enumerate(mask.to_bytes(chunk_count, "little")):
-            if byte:
-                part = chunk_images[c][byte]
-                if part is None:
-                    part = 0
-                    for i in _bits(byte):
-                        part |= packed[8 * c + i]
-                    chunk_images[c][byte] = part
-                image |= part
-        fields = read_fields(image)
-        row = tuple(map(lookup, fields))
+        # One step per nonzero byte of the mask, lowest first.
+        while mask:
+            shift = (mask & -mask).bit_length() - 1 & ~7
+            byte = mask >> shift & 255
+            mask ^= byte << shift
+            part = parts[shift << 5 | byte]
+            if part is None:
+                # A one-bit byte keeps its packed row itself rather than a copy.
+                members = [packed[shift + i] for i in range(8) if byte >> i & 1]
+                part = members.pop()
+                for other in members:
+                    part |= other
+                parts[shift << 5 | byte] = part
+            image |= part
+        images = fields.unpack(image.to_bytes(fields.size, "little"))
+        row = tuple(map(lookup, images))
         if None in row:
             row = list(row)
             for j, target in enumerate(row):
                 if target is None:
-                    subset = fields[j]
+                    subset = images[j]
                     target = lookup(subset)
                     if target is None:
                         if len(masks) >= cap:
                             raise CapExceededError(direction, cap, len(masks))
                         target = index[subset] = len(masks)
-                        masks.append(subset)
+                        masks.append(int.from_bytes(subset, "little"))
                     row[j] = target
             row = tuple(row)
         table.append(row)

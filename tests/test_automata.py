@@ -264,7 +264,7 @@ class TestEngineMatchesReference:
         for _ in range(150):
             _assert_engine_matches_reference(random_nfa_any(rng))
 
-    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64, 65, 90])
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64, 65, 90, 300])
     def test_every_field_width(self, n):
         rng = random.Random(n)
         for _ in range(6):
