@@ -27,10 +27,7 @@ from .automata import (
     equivalent,
     forward_determinize,
     is_unambiguous,
-    reach_forward,
     reachable_state_pairs,
-    step_backward,
-    step_forward,
     word_text,
 )
 from .bridge import (

@@ -14,7 +14,6 @@ SubsetAutomaton keeps the masks; its ``states`` tuple of frozensets is
 built only when first read.
 """
 
-import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -108,10 +107,6 @@ class Nfa:
                 f"{role} state {q!r} out of range for {self.state_count} states"
             )
 
-    @cached_property
-    def _symbols(self) -> frozenset:
-        return frozenset(self.alphabet)
-
     def _rows(self, here: int, there: int):
         """Per symbol, per state at position ``here`` of the transition
         triples, the sorted tuple of states at position ``there``."""
@@ -131,43 +126,6 @@ class Nfa:
         return self._rows(2, 0)
 
 
-def _require_symbol(nfa: Nfa, a: str):
-    if a not in nfa._symbols:
-        raise ValueError(f"symbol not in alphabet: {a!r}")
-
-
-def step_forward(nfa: Nfa, s, a: str) -> frozenset:
-    """States reachable from some state of ``s`` by a single ``a`` transition."""
-    _require_symbol(nfa, a)
-    rows = nfa._succ[a]
-    out = set()
-    for q in s:
-        nfa._check_state(q, "queried")
-        out.update(rows[q])
-    return frozenset(out)
-
-
-def step_backward(nfa: Nfa, a: str, s) -> frozenset:
-    """States from which a single ``a`` transition lands in ``s``."""
-    _require_symbol(nfa, a)
-    rows = nfa._pred[a]
-    out = set()
-    for q in s:
-        nfa._check_state(q, "queried")
-        out.update(rows[q])
-    return frozenset(out)
-
-
-def reach_forward(nfa: Nfa, s, word) -> frozenset:
-    """States reachable from ``s`` along ``word``; the empty word returns ``s``."""
-    current = frozenset(s)
-    for q in current:
-        nfa._check_state(q, "queried")
-    for a in word:
-        current = step_forward(nfa, current, a)
-    return current
-
-
 def count_accepting_runs(nfa: Nfa, word) -> int:
     """Exact number of accepting runs of ``word``.
 
@@ -181,8 +139,9 @@ def count_accepting_runs(nfa: Nfa, word) -> int:
     for q in nfa.initial:
         counts[q] = 1
     for a in word:
-        _require_symbol(nfa, a)
-        rows = nfa._succ[a]
+        rows = nfa._succ.get(a)
+        if rows is None:
+            raise ValueError(f"symbol not in alphabet: {a!r}")
         nxt = [0] * nfa.state_count
         for q, c in enumerate(counts):
             if c:
@@ -441,6 +400,25 @@ def backward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:
     return _determinize(nfa, BACKWARD, cap)
 
 
+def _both_constructions(nfa: Nfa, cap: int) -> tuple:
+    """Run the forward and then the backward construction.
+
+    Returns (forward, backward), each the SubsetAutomaton or the
+    CapExceededError that side raised.  The two constructions are looked
+    up when called, not bound once, so wrappers installed on this module's
+    functions see every call.
+    """
+    sides = []
+    for construct in (forward_determinize, backward_determinize):
+        try:
+            sides.append(construct(nfa, cap))
+        except CapExceededError as exc:
+            # The traceback would keep the abandoned construction's frames,
+            # up to ``cap`` subsets, alive while the other side runs.
+            sides.append(exc.with_traceback(None))
+    return tuple(sides)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Sizes from one complementation: ``n`` input states, forward and
@@ -477,11 +455,6 @@ class BoundReport:
         return (self.n + 1) * (1 << self.n)
 
     @property
-    def bound(self) -> float:
-        """The state bound sqrt(n + 1) * 2**(n / 2), as a float."""
-        return math.sqrt(self.n + 1) * 2.0 ** (self.n / 2)
-
-    @property
     def within_bound(self) -> bool:
         """result_states <= bound, compared exactly on squared integers."""
         return self.result_states**2 <= self.bound_sq
@@ -504,20 +477,12 @@ def complement_ufa(nfa: Nfa, cap: int = DEFAULT_CAP):
     ok, witness = is_unambiguous(nfa)
     if not ok:
         raise AmbiguousAutomatonError(witness)
-    forward = backward = None
-    try:
-        forward = forward_determinize(nfa, cap)
-    except CapExceededError:
-        pass
-    try:
-        backward = backward_determinize(nfa, cap)
-    except CapExceededError:
-        pass
-    if forward is None and backward is None:
+    forward, backward = _both_constructions(nfa, cap)
+    k = None if isinstance(forward, CapExceededError) else forward.state_count
+    l = None if isinstance(backward, CapExceededError) else backward.state_count
+    if k is None and l is None:
         raise CapExceededError("both", cap, cap)
-    k = forward.state_count if forward is not None else None
-    l = backward.state_count if backward is not None else None
-    if backward is None or (forward is not None and k <= l):
+    if l is None or (k is not None and k <= l):
         side, construction = FORWARD, forward
     else:
         side, construction = BACKWARD, backward

@@ -12,15 +12,14 @@ extremal_split_graph this yields witness automata whose smaller
 construction is within a factor 2 of sqrt(n + 1) * 2**(n / 2).
 """
 
-import math
 from dataclasses import dataclass
 
 from .automata import (
     DEFAULT_CAP,
     AmbiguousAutomatonError,
+    CapExceededError,
     Nfa,
-    backward_determinize,
-    forward_determinize,
+    _both_constructions,
     is_unambiguous,
     reachable_state_pairs,
 )
@@ -38,8 +37,7 @@ class CompositeSymbol:
     tag 2 for a coclique letter.
 
     The printed label is ``c{...}`` or ``i{...}`` with the members sorted
-    and comma-separated, e.g. ``c{0,2}`` or ``i{}``; labels parse back with
-    from_label.
+    and comma-separated, e.g. ``c{0,2}`` or ``i{}``.
     """
 
     tag: int
@@ -57,14 +55,6 @@ class CompositeSymbol:
     def label(self) -> str:
         kind = "c" if self.tag == 1 else "i"
         return kind + "{" + ",".join(str(v) for v in sorted(self.members)) + "}"
-
-    @classmethod
-    def from_label(cls, text: str) -> "CompositeSymbol":
-        if len(text) < 3 or text[0] not in "ci" or text[1] != "{" or text[-1] != "}":
-            raise ValueError(f"malformed composite symbol label: {text!r}")
-        body = text[2:-1]
-        members = frozenset(int(part) for part in body.split(",")) if body else frozenset()
-        return cls(1 if text[0] == "c" else 2, members)
 
 
 def extract_graph(nfa: Nfa) -> Graph:
@@ -124,19 +114,24 @@ def witness_ufa(n: int) -> Nfa:
 class TightnessReport:
     """Construction sizes of one witness automaton against both bounds:
     the upper bound sqrt(n + 1) * 2**(n / 2) on min(k, l) and the lower
-    bound at half of it."""
+    bound at half of it, both compared on exact squares."""
 
     n: int
     k: int
     l: int
 
-    @property
-    def upper(self) -> float:
-        return math.sqrt(self.n + 1) * 2.0 ** (self.n / 2)
+    @classmethod
+    def measure(cls, automaton: Nfa, cap: int = DEFAULT_CAP) -> "TightnessReport":
+        """Run both constructions on ``automaton`` and report their sizes.
 
-    @property
-    def lower(self) -> float:
-        return self.upper / 2
+        A side that exceeds ``cap`` raises its CapExceededError, with its
+        partial count; the forward side's error is raised first.
+        """
+        forward, backward = _both_constructions(automaton, cap)
+        for side in (forward, backward):
+            if isinstance(side, CapExceededError):
+                raise side
+        return cls(automaton.state_count, forward.state_count, backward.state_count)
 
     @property
     def upper_sq(self) -> int:
@@ -159,12 +154,5 @@ class TightnessReport:
 
 
 def verify_tightness(n: int, cap: int = DEFAULT_CAP) -> TightnessReport:
-    """Build witness_ufa(n), run both constructions, report against bounds.
-
-    CapExceededError from either construction propagates with its partial
-    count.
-    """
-    automaton = witness_ufa(n)
-    k = forward_determinize(automaton, cap).state_count
-    l = backward_determinize(automaton, cap).state_count
-    return TightnessReport(n, k, l)
+    """Measure witness_ufa(n) against both bounds (see TightnessReport.measure)."""
+    return TightnessReport.measure(witness_ufa(n), cap)

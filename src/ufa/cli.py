@@ -172,11 +172,7 @@ def _tightness_line(report) -> str:
 def cmd_witness(args) -> int:
     cap = _resolve_cap(args)
     automaton = bridge.witness_ufa(_nonnegative(args.n, "--n"))
-    report = bridge.TightnessReport(
-        args.n,
-        forward_determinize(automaton, cap).state_count,
-        backward_determinize(automaton, cap).state_count,
-    )
+    report = bridge.TightnessReport.measure(automaton, cap)
     print(_tightness_line(report))
     _emit(args, serialize_automaton(automaton))
     return EXIT_OK if report.holds else EXIT_VIOLATION
@@ -298,16 +294,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except AmbiguousAutomatonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
+    except (_UsageError, ParseError, AmbiguousAutomatonError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CapExceededError as exc:

@@ -49,6 +49,27 @@ def _body_lines(text: str):
         yield line_no, stripped.split()
 
 
+def _header_count(lines, keyword: str, noun: str) -> int:
+    """Read the ``<keyword> <count>`` header from the first body line.
+
+    ``noun`` names the count in messages, e.g. "state count" for the
+    ``nfa <state_count>`` header.
+    """
+    usage = f"{keyword} <{noun.replace(' ', '_')}>"
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(f"missing '{usage}' header")
+    line_no, tokens = first
+    if tokens[0] != keyword:
+        raise ParseError(f"file must start with '{usage}'", line_no)
+    if len(tokens) != 2:
+        raise ParseError(f"expected '{usage}'", line_no)
+    count = _int_token(tokens[1], noun, line_no)
+    if count < 0:
+        raise ParseError(f"{noun} must be nonnegative", line_no)
+    return count
+
+
 def _state_token(token: str, state_count: int, line: int) -> int:
     value = _int_token(token, "state", line)
     if not 0 <= value < state_count:
@@ -59,23 +80,13 @@ def _state_token(token: str, state_count: int, line: int) -> int:
 def parse_automaton(text: str) -> Nfa:
     """Parse an automaton file; raise ParseError with a line number on any
     malformed, duplicated, missing, or out-of-range content."""
-    state_count = None
+    lines = _body_lines(text)
+    state_count = _header_count(lines, "nfa", "state count")
     alphabet = None
     state_sets = {"initial": None, "final": None}
     pending = []
-    for line_no, tokens in _body_lines(text):
+    for line_no, tokens in lines:
         keyword = tokens[0]
-        if keyword == "nfa":
-            if state_count is not None:
-                raise ParseError("duplicate 'nfa' header", line_no)
-            if len(tokens) != 2:
-                raise ParseError("expected 'nfa <state_count>'", line_no)
-            state_count = _int_token(tokens[1], "state count", line_no)
-            if state_count < 0:
-                raise ParseError("state count must be nonnegative", line_no)
-            continue
-        if state_count is None:
-            raise ParseError("file must start with 'nfa <state_count>'", line_no)
         if keyword == "alphabet":
             if alphabet is not None:
                 raise ParseError("duplicate 'alphabet' line", line_no)
@@ -94,10 +105,10 @@ def parse_automaton(text: str) -> Nfa:
             src = _state_token(tokens[1], state_count, line_no)
             dst = _state_token(tokens[3], state_count, line_no)
             pending.append((line_no, src, tokens[2], dst))
+        elif keyword == "nfa":
+            raise ParseError("duplicate 'nfa' header", line_no)
         else:
             raise ParseError(f"unknown directive {keyword!r}", line_no)
-    if state_count is None:
-        raise ParseError("missing 'nfa <state_count>' header")
     if alphabet is None:
         raise ParseError("missing 'alphabet' line")
     for name, value in state_sets.items():
@@ -135,22 +146,14 @@ def serialize_automaton(nfa: Nfa) -> str:
 def parse_graph(text: str) -> Graph:
     """Parse a graph file; raise ParseError with a line number on any
     malformed, duplicated, missing, or out-of-range content."""
-    vertex_count = None
+    lines = _body_lines(text)
+    vertex_count = _header_count(lines, "graph", "vertex count")
     edges = []
-    for line_no, tokens in _body_lines(text):
+    for line_no, tokens in lines:
         keyword = tokens[0]
-        if keyword == "graph":
-            if vertex_count is not None:
-                raise ParseError("duplicate 'graph' header", line_no)
-            if len(tokens) != 2:
-                raise ParseError("expected 'graph <vertex_count>'", line_no)
-            vertex_count = _int_token(tokens[1], "vertex count", line_no)
-            if vertex_count < 0:
-                raise ParseError("vertex count must be nonnegative", line_no)
-            continue
-        if vertex_count is None:
-            raise ParseError("file must start with 'graph <vertex_count>'", line_no)
         if keyword != "edge":
+            if keyword == "graph":
+                raise ParseError("duplicate 'graph' header", line_no)
             raise ParseError(f"unknown directive {keyword!r}", line_no)
         if len(tokens) != 3:
             raise ParseError("expected 'edge <u> <v>'", line_no)
@@ -163,8 +166,6 @@ def parse_graph(text: str) -> Graph:
         if u >= v:
             raise ParseError(f"edge endpoints must satisfy u < v, got {u} {v}", line_no)
         edges.append((u, v))
-    if vertex_count is None:
-        raise ParseError("missing 'graph <vertex_count>' header")
     return Graph.from_edges(vertex_count, edges)
 
 

@@ -6,7 +6,6 @@ graph.  Counts are plain Python ints, so they stay exact at any size, and
 every bound below is checked on squared integers rather than floats.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -142,37 +141,50 @@ def complement_graph(g: Graph) -> Graph:
     )
 
 
-def count_cliques(g: Graph) -> int:
-    """Exact number of cliques, the empty one included.
+def _count_cliques_within(adj_masks, candidates: int) -> int:
+    """Cliques, the empty one included, among the vertices of the mask
+    ``candidates`` in the graph with neighbor masks ``adj_masks``.
 
-    Include/exclude recursion on the lowest candidate vertex: cliques
-    avoiding it plus cliques through it (candidates then shrink to its
-    neighbors).  Each clique corresponds to exactly one recursion leaf, so
-    the cost is proportional to the count itself, not to 2**n.
+    Every clique is one node of a tree rooted at the empty clique: a node
+    with candidate mask c has one child per vertex v of c, which adds v
+    and keeps as candidates the neighbors of v in c above v.  So the count
+    is 1 plus the candidate counts of all nodes, and the cost follows the
+    count itself, not 2**n.  Nodes wait on an explicit stack, so the
+    recursion limit does not cap the vertex count, and nodes without
+    candidates are counted without a visit.
     """
-    masks = g._adj_masks
+    count = 1
+    stack = [candidates]
+    while stack:
+        candidates = stack.pop()
+        count += candidates.bit_count()
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            inner = candidates & adj_masks[low.bit_length() - 1]
+            if inner:
+                stack.append(inner)
+    return count
 
-    def count(candidates: int) -> int:
-        if candidates == 0:
-            return 1
-        low = candidates & -candidates
-        v = low.bit_length() - 1
-        rest = candidates ^ low
-        return count(rest) + count(rest & masks[v])
 
-    return count((1 << g.vertex_count) - 1)
+def count_cliques(g: Graph) -> int:
+    """Exact number of cliques, the empty one included."""
+    return _count_cliques_within(g._adj_masks, (1 << g.vertex_count) - 1)
 
 
 def count_cocliques(g: Graph) -> int:
-    """Exact number of cocliques: the clique count of the complement."""
-    return count_cliques(complement_graph(g))
+    """Exact number of cocliques: the clique count of the complement,
+    counted on complemented neighbor masks without building that graph."""
+    full = (1 << g.vertex_count) - 1
+    non_neighbors = [full & ~adj & ~(1 << v) for v, adj in enumerate(g._adj_masks)]
+    return _count_cliques_within(non_neighbors, full)
 
 
 def enumerate_cliques(g: Graph) -> list:
     """All cliques as frozensets, sorted by size then by sorted member list.
 
-    Same recursion as count_cliques, so the cost is proportional to the
-    number of cliques.
+    The same tree of cliques as count_cliques, walked recursively, so the
+    cost is proportional to the number of cliques.
     """
     masks = g._adj_masks
     found = []
@@ -322,19 +334,16 @@ def nearest_k(n: int) -> int:
     """Integer nearest to n/2 + log2((n + 1) / 2) / 2, ties rounded up.
 
     This is the clique size that balances the two construction sizes for
-    extremal_split_graph.  Exact halves occur only when n + 1 is a power of
-    two; that case is handled in integers so no float tie-breaking is ever
-    trusted.  The result is clamped to 0..n.  Requires n >= 1.
+    extremal_split_graph.  Rounded half up, the target is
+    floor((n + log2(n + 1)) / 2).  With e = floor(log2(n + 1)), the
+    fractional part of log2(n + 1) is below 1 and so never carries the
+    halved sum past (n + e) // 2; the result is computed in integers only.
+    It lies in 0..n, since n + 1 <= 2**n.  Requires n >= 1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if (n + 1) & n == 0:
-        # n + 1 = 2**m, so twice the target is the integer n + m - 1.
-        twice = n + (n + 1).bit_length() - 2
-        k = (twice + 1) // 2
-    else:
-        k = math.floor(n / 2 + math.log2((n + 1) / 2) / 2 + 0.5)
-    return max(0, min(n, k))
+    e = (n + 1).bit_length() - 1
+    return (n + e) // 2
 
 
 def extremal_split_graph(n: int) -> Graph:

@@ -39,19 +39,6 @@ class TestCompositeSymbol:
         assert CompositeSymbol(1, set()).label == "c{}"
         assert CompositeSymbol(2, set()).label == "i{}"
 
-    def test_from_label_round_trip(self):
-        for symbol in (
-            CompositeSymbol(1, set()),
-            CompositeSymbol(2, {0}),
-            CompositeSymbol(1, {0, 3, 11}),
-        ):
-            assert CompositeSymbol.from_label(symbol.label) == symbol
-
-    @pytest.mark.parametrize("text", ["", "c", "x{0}", "c{0", "c0}", "c{a}"])
-    def test_rejects_malformed_labels(self, text):
-        with pytest.raises(ValueError):
-            CompositeSymbol.from_label(text)
-
     def test_rejects_bad_tag(self):
         with pytest.raises(ValueError, match="tag"):
             CompositeSymbol(3, set())
@@ -191,8 +178,7 @@ class TestVerifyTightness:
     def test_n0(self):
         report = verify_tightness(0)
         assert (report.k, report.l) == (1, 1)
-        assert report.lower == 0.5
-        assert report.upper == 1.0
+        assert report.upper_sq == 1
         assert report.holds
 
     def test_n1(self):
@@ -211,8 +197,17 @@ class TestVerifyTightness:
             assert verify_tightness(n).holds
 
     def test_cap_error_propagates(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError) as caught:
             verify_tightness(6, cap=4)
+        assert caught.value.direction == "forward"
+        assert caught.value.partial_count == 4
+
+    def test_backward_cap_error_propagates(self):
+        # witness_ufa(2) has k=3 and l=4, so cap 3 stops only the backward side.
+        with pytest.raises(CapExceededError) as caught:
+            TightnessReport.measure(witness_ufa(2), cap=3)
+        assert caught.value.direction == "backward"
+        assert caught.value.partial_count == 3
 
     def test_report_flags_are_exact(self):
         # k = 1 against n = 4 fails the lower bound: 4 * 1 < 80.

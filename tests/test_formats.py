@@ -100,6 +100,29 @@ class TestParseAutomaton:
             parse_automaton(text)
 
 
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (parse_automaton, "# only a comment\n", "missing 'nfa <state_count>' header"),
+        (parse_automaton, "\nalphabet a\n", "line 2: file must start with 'nfa <state_count>'"),
+        (parse_automaton, "nfa 1 2\n", "line 1: expected 'nfa <state_count>'"),
+        (parse_automaton, "nfa x\n", "line 1: state count must be an integer, got 'x'"),
+        (parse_automaton, "nfa -1\n", "line 1: state count must be nonnegative"),
+        (parse_automaton, "nfa 1\nalphabet a\nnfa 1\n", "line 3: duplicate 'nfa' header"),
+        (parse_graph, "", "missing 'graph <vertex_count>' header"),
+        (parse_graph, "# c\nedge 0 1\n", "line 2: file must start with 'graph <vertex_count>'"),
+        (parse_graph, "graph\n", "line 1: expected 'graph <vertex_count>'"),
+        (parse_graph, "graph two\n", "line 1: vertex count must be an integer, got 'two'"),
+        (parse_graph, "graph -3\n", "line 1: vertex count must be nonnegative"),
+        (parse_graph, "graph 2\nedge 0 1\ngraph 2\n", "line 3: duplicate 'graph' header"),
+    ],
+)
+def test_header_errors(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 class TestSerializeAutomaton:
     def test_a_plus_golden_text(self):
         assert serialize_automaton(a_plus()) == A_PLUS_TEXT

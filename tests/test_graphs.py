@@ -1,6 +1,8 @@
 """Unit tests for the graph operations and counting bounds."""
 
+import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -111,6 +113,12 @@ class TestCountCliques:
     @settings(max_examples=60, deadline=None)
     def test_cocliques_count_cliques_of_the_complement(self, g):
         assert count_cocliques(g) == len(brute_force_cliques(complement_graph(g)))
+
+    def test_vertex_count_beyond_the_recursion_limit(self):
+        n = 1100
+        assert n > sys.getrecursionlimit()
+        assert count_cliques(Graph(n, (frozenset(),) * n)) == n + 1
+        assert count_cocliques(Graph.complete(n)) == n + 1
 
 
 class TestEnumerateCliques:
@@ -233,6 +241,17 @@ class TestNearestK:
     def test_result_stays_within_range(self):
         for n in range(1, 200):
             assert 0 <= nearest_k(n) <= n
+
+    def test_matches_the_float_formula(self):
+        # The float formula nearest_k replaced, as an oracle: exact halves
+        # (n + 1 a power of two) are settled in integers, the rest rounded
+        # from floats.
+        for n in range(1, 5001):
+            if (n + 1) & n == 0:
+                expected = (n + (n + 1).bit_length() - 1) // 2
+            else:
+                expected = math.floor(n / 2 + math.log2((n + 1) / 2) / 2 + 0.5)
+            assert nearest_k(n) == max(0, min(n, expected)), n
 
 
 class TestExtremalSplitGraph:
