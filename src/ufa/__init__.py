@@ -22,6 +22,7 @@ from .automata import (
     SubsetAutomaton,
     Word,
     backward_determinize,
+    complement_construction,
     complement_ufa,
     count_accepting_runs,
     equivalent,
@@ -44,6 +45,7 @@ from .formats import (
     parse_graph,
     serialize_automaton,
     serialize_graph,
+    serialize_subset_automaton,
 )
 from .graphs import (
     Graph,

@@ -12,6 +12,12 @@ memoized chunk images, one per nonzero byte of its mask, and the packed
 result is unpacked into per-letter fields in one ``struct`` call.
 SubsetAutomaton keeps the masks; its ``states`` tuple of frozensets is
 built only when first read.
+
+complement_construction picks the side a complement is built from.
+complement_ufa turns it into an Nfa; the ``complement`` and ``determinize``
+commands instead write the construction with
+formats.serialize_subset_automaton, straight from its transition table in
+time linear in the table's cells.
 """
 
 import struct
@@ -299,6 +305,11 @@ class SubsetAutomaton:
         """
         return self._to_nfa(self.marked)
 
+    @property
+    def unmarked(self) -> frozenset:
+        """The states not in ``marked``: the complement's marking."""
+        return frozenset(range(self.state_count)) - self.marked
+
     def as_complement_nfa(self) -> Nfa:
         """Same structure with marked and unmarked states swapped.
 
@@ -306,8 +317,7 @@ class SubsetAutomaton:
         backward-deterministic automaton complements its language, so the
         result recognizes exactly the words the base automaton rejects.
         """
-        inverted = frozenset(range(self.state_count)) - self.marked
-        return self._to_nfa(inverted)
+        return self._to_nfa(self.unmarked)
 
 
 def _mask(states) -> int:
@@ -460,14 +470,14 @@ class BoundReport:
         return self.result_states**2 <= self.bound_sq
 
 
-def complement_ufa(nfa: Nfa, cap: int = DEFAULT_CAP):
-    """Complement an unambiguous automaton.
+def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
+    """The subset construction whose swapped marking complements an
+    unambiguous automaton.
 
     Runs both subset constructions and keeps the smaller (ties keep
-    forward), then swaps its marked set: the result recognizes exactly the
-    rejected words, is itself unambiguous, and has min(k, l) states, which
-    for unambiguous input never exceeds sqrt(n + 1) * 2**(n / 2).  Returns
-    (complement, BoundReport).
+    forward); it has min(k, l) states, which for unambiguous input never
+    exceeds sqrt(n + 1) * 2**(n / 2).  Returns (SubsetAutomaton,
+    BoundReport).
 
     Raises AmbiguousAutomatonError (carrying a witness word) when the input
     is ambiguous.  A side that exceeds ``cap`` is dropped from the choice
@@ -486,7 +496,18 @@ def complement_ufa(nfa: Nfa, cap: int = DEFAULT_CAP):
         side, construction = FORWARD, forward
     else:
         side, construction = BACKWARD, backward
-    report = BoundReport(nfa.state_count, k, l, side)
+    return construction, BoundReport(nfa.state_count, k, l, side)
+
+
+def complement_ufa(nfa: Nfa, cap: int = DEFAULT_CAP):
+    """Complement an unambiguous automaton.
+
+    Swaps the marked set of complement_construction's choice: the result
+    recognizes exactly the rejected words, is itself unambiguous, and has
+    min(k, l) states.  Returns (complement, BoundReport); raises as
+    complement_construction does.
+    """
+    construction, report = complement_construction(nfa, cap)
     return construction.as_complement_nfa(), report
 
 

@@ -24,7 +24,7 @@ from .automata import (
     AmbiguousAutomatonError,
     CapExceededError,
     backward_determinize,
-    complement_ufa,
+    complement_construction,
     forward_determinize,
     is_unambiguous,
     word_text,
@@ -35,6 +35,7 @@ from .formats import (
     parse_graph,
     serialize_automaton,
     serialize_graph,
+    serialize_subset_automaton,
 )
 
 EXIT_OK = 0
@@ -97,13 +98,13 @@ def _quarter_text(value: int) -> str:
 def cmd_complement(args) -> int:
     cap = _resolve_cap(args)
     nfa = parse_automaton(_read_text(args.input))
-    complement, report = complement_ufa(nfa, cap)
+    construction, report = complement_construction(nfa, cap)
     side = "fwd" if report.chosen == FORWARD else "bwd"
     print(
         f"n={report.n} k={_size_text(report.k, cap)} l={_size_text(report.l, cap)} "
         f"chosen={side} states={report.result_states} bound_sq={report.bound_sq}"
     )
-    _emit(args, serialize_automaton(complement))
+    _emit(args, serialize_subset_automaton(construction, complement=True))
     return EXIT_OK
 
 
@@ -113,7 +114,7 @@ def cmd_determinize(args) -> int:
     construct = forward_determinize if args.direction == "fwd" else backward_determinize
     result = construct(nfa, cap)
     print(f"n={nfa.state_count} direction={args.direction} states={result.state_count}")
-    _emit(args, serialize_automaton(result.as_nfa()))
+    _emit(args, serialize_subset_automaton(result))
     return EXIT_OK
 
 

@@ -19,9 +19,17 @@ header lines may appear in any order but only once.  Serialization is
 canonical (sorted state sets, transitions by source then alphabet position
 then target, edges lexicographic with u < v), so parse and serialize are
 mutually inverse and repeated runs are byte-identical.
+
+serialize_subset_automaton writes a subset construction, or its complement,
+straight from its transition table, in time linear in the table's cells and
+without building an Nfa; its text is what serialize_automaton gives for the
+construction's Nfa view.
 """
 
-from .automata import Nfa
+from itertools import chain, repeat
+from operator import floordiv, mod
+
+from .automata import FORWARD, Nfa, SubsetAutomaton
 from .graphs import Graph
 
 
@@ -129,18 +137,63 @@ def parse_automaton(text: str) -> Nfa:
     )
 
 
+def _automaton_header(state_count: int, alphabet, initial, final) -> str:
+    """The ``nfa``, ``alphabet``, ``initial`` and ``final`` lines, each
+    ending in a newline, with the state sets sorted."""
+    lines = [
+        f"nfa {state_count}",
+        " ".join(("alphabet",) + alphabet),
+        " ".join(["initial"] + [str(q) for q in sorted(initial)]),
+        " ".join(["final"] + [str(q) for q in sorted(final)]),
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
 def serialize_automaton(nfa: Nfa) -> str:
     """Canonical text for an automaton; parse_automaton inverts it exactly."""
     position = {symbol: i for i, symbol in enumerate(nfa.alphabet)}
-    lines = [
-        f"nfa {nfa.state_count}",
-        " ".join(("alphabet",) + nfa.alphabet),
-        " ".join(["initial"] + [str(q) for q in sorted(nfa.initial)]),
-        " ".join(["final"] + [str(q) for q in sorted(nfa.final)]),
-    ]
     ordered = sorted(nfa.transitions, key=lambda t: (t[0], position[t[1]], t[2]))
-    lines += [f"trans {src} {symbol} {dst}" for src, symbol, dst in ordered]
-    return "\n".join(lines) + "\n"
+    header = _automaton_header(nfa.state_count, nfa.alphabet, nfa.initial, nfa.final)
+    return header + "".join(f"trans {src} {symbol} {dst}\n" for src, symbol, dst in ordered)
+
+
+def serialize_subset_automaton(construction: SubsetAutomaton, complement: bool = False) -> str:
+    """Canonical text for ``construction.as_nfa()``, or for
+    ``construction.as_complement_nfa()`` when ``complement`` is true,
+    written straight from the transition table.
+
+    Each table cell is one transition.  Forward, cell (i, j) is the edge
+    from i to ``transition_table[i][j]``, so the rows are already in
+    canonical order.  Backward, it is the edge from ``transition_table[i][j]``
+    to i; one bucket pass over the cells, column by column, puts them in
+    order of source, then column, then target.  Every line is joined from
+    shared per-state and per-symbol strings, so the time is linear in the
+    cells.
+    """
+    table = construction.transition_table
+    alphabet = construction.base.alphabet
+    size, width = construction.state_count, len(alphabet)
+    entry = (construction.entry,)
+    accepting = construction.unmarked if complement else construction.marked
+    if construction.direction == FORWARD:
+        header = _automaton_header(size, alphabet, entry, accepting)
+        sources = chain.from_iterable(map(repeat, range(size), repeat(width)))
+        columns = chain.from_iterable(repeat(range(width), size))
+        targets = chain.from_iterable(table)
+    else:
+        header = _automaton_header(size, alphabet, accepting, entry)
+        # Cells numbered column-major, j * size + i, in one bucket per source.
+        buckets = [[] for _ in range(size)]
+        for cell, source in enumerate(chain.from_iterable(zip(*table))):
+            buckets[source].append(cell)
+        sources = chain.from_iterable(map(repeat, range(size), map(len, buckets)))
+        columns = map(floordiv, chain.from_iterable(buckets), repeat(size))
+        targets = map(mod, chain.from_iterable(buckets), repeat(size))
+    parts = [header] + [None] * (3 * size * width)
+    parts[1::3] = map([f"trans {q} " for q in range(size)].__getitem__, sources)
+    parts[2::3] = map([f"{symbol} " for symbol in alphabet].__getitem__, columns)
+    parts[3::3] = map([f"{q}\n" for q in range(size)].__getitem__, targets)
+    return "".join(parts)
 
 
 def parse_graph(text: str) -> Graph:

@@ -12,6 +12,7 @@ from ufa import (
     CapExceededError,
     Nfa,
     backward_determinize,
+    complement_construction,
     complement_ufa,
     count_accepting_runs,
     equivalent,
@@ -308,6 +309,26 @@ class TestComplement:
         assert report.l is None
         assert report.chosen == "forward"
         assert complement.state_count == 3
+
+    def test_complement_ufa_swaps_the_marking_of_the_chosen_construction(self):
+        for nfa, side in ((witness_ufa(4), BACKWARD), (witness_ufa(3), FORWARD)):
+            construction, report = complement_construction(nfa)
+            assert construction.direction == report.chosen == side
+            assert construction.state_count == report.result_states
+            assert complement_ufa(nfa) == (construction.as_complement_nfa(), report)
+
+    def test_unmarked_is_the_complement_of_marked(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            nfa = random_nfa(rng, max_states=5)
+            for construct in (forward_determinize, backward_determinize):
+                construction = construct(nfa)
+                everything = frozenset(range(construction.state_count))
+                assert construction.unmarked == everything - construction.marked
+                complement = construction.as_complement_nfa()
+                forward = construct is forward_determinize
+                accepting = complement.final if forward else complement.initial
+                assert accepting == construction.unmarked
 
     def test_complement_of_complement_restores_the_language(self):
         rng = random.Random(37)

@@ -2,7 +2,17 @@
 
 import pytest
 
-from ufa import Graph, count_accepting_runs, parse_automaton, parse_graph, serialize_graph
+from ufa import (
+    Graph,
+    backward_determinize,
+    complement_ufa,
+    count_accepting_runs,
+    forward_determinize,
+    parse_automaton,
+    parse_graph,
+    serialize_automaton,
+    serialize_graph,
+)
 from ufa.bridge import graph_to_ufa, witness_ufa
 from ufa.cli import EXIT_CAP, EXIT_OK, EXIT_PRECONDITION, EXIT_VIOLATION
 from helpers import language, run_cli
@@ -102,6 +112,36 @@ class TestDeterminizeCommand:
         assert out == "n=2 direction=bwd states=2\n"
         result = parse_automaton(out_path.read_text())
         assert language(result, 5) == language(parse_automaton(A_PLUS), 5)
+
+
+class TestOutputMatchesTheLibrary:
+    """complement and determinize write the bytes that serialize_automaton
+    gives for the library's results."""
+
+    @pytest.fixture
+    def witness_file(self, tmp_path):
+        path = tmp_path / "w8.nfa"
+        path.write_text(serialize_automaton(witness_ufa(8)))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv,library",
+        [
+            (["complement"], lambda nfa: complement_ufa(nfa)[0]),
+            (["determinize", "--direction", "fwd"], lambda nfa: forward_determinize(nfa).as_nfa()),
+            (["determinize", "--direction", "bwd"], lambda nfa: backward_determinize(nfa).as_nfa()),
+        ],
+    )
+    def test_written_bytes(self, witness_file, tmp_path, capsys, argv, library):
+        expected = serialize_automaton(library(witness_ufa(8)))
+        out_path = tmp_path / "out.nfa"
+        command = [argv[0], witness_file] + argv[1:]
+        code, out, _ = run_cli(command + ["-o", str(out_path)], capsys)
+        assert code == EXIT_OK
+        assert out_path.read_bytes() == expected.encode()
+        code, stdout_only, _ = run_cli(command, capsys)
+        assert code == EXIT_OK
+        assert stdout_only == out + expected
 
 
 class TestCheckUnambiguousCommand:

@@ -10,12 +10,17 @@ from ufa import (
     Graph,
     Nfa,
     ParseError,
+    backward_determinize,
+    forward_determinize,
+    is_unambiguous,
     parse_automaton,
     parse_graph,
     serialize_automaton,
     serialize_graph,
+    serialize_subset_automaton,
+    witness_ufa,
 )
-from helpers import a_plus, random_nfa_any
+from helpers import a_plus, a_star, random_nfa, random_nfa_any
 
 A_PLUS_TEXT = """nfa 2
 alphabet a
@@ -151,6 +156,59 @@ class TestSerializeAutomaton:
         for _ in range(100):
             nfa = random_nfa_any(rng)
             assert parse_automaton(serialize_automaton(nfa)) == nfa
+
+
+def _assert_written_from_the_table(nfa):
+    """Both constructions of ``nfa``, with either marking, serialize
+    exactly as their Nfa views do, and parse back to them."""
+    for construct in (forward_determinize, backward_determinize):
+        construction = construct(nfa)
+        for complement, view in (
+            (False, construction.as_nfa()),
+            (True, construction.as_complement_nfa()),
+        ):
+            text = serialize_subset_automaton(construction, complement=complement)
+            assert text == serialize_automaton(view)
+            assert parse_automaton(text) == view
+
+
+class TestSerializeSubsetAutomaton:
+    def test_seeded_random_unambiguous_automata(self):
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(80):
+            nfa = random_nfa(rng)
+            if is_unambiguous(nfa)[0]:
+                _assert_written_from_the_table(nfa)
+                checked += 1
+        assert checked >= 20
+
+    def test_seeded_random_automata_with_odd_labels(self):
+        # Zero states, the empty alphabet and labels such as "c{0}" included.
+        rng = random.Random(31)
+        for _ in range(100):
+            _assert_written_from_the_table(random_nfa_any(rng))
+
+    def test_empty_alphabet(self):
+        _assert_written_from_the_table(Nfa(3, (), set(), {0, 2}, {1}))
+
+    def test_one_state_universal_automaton_marks_every_state(self):
+        for construct in (forward_determinize, backward_determinize):
+            construction = construct(a_star())
+            assert construction.marked == frozenset({0})
+            assert construction.unmarked == frozenset()
+        _assert_written_from_the_table(a_star())
+
+    def test_no_final_state_marks_no_state(self):
+        nfa = Nfa(3, ("a", "b"), {(0, "a", 1), (1, "b", 2), (2, "a", 0)}, {0}, set())
+        for construct in (forward_determinize, backward_determinize):
+            construction = construct(nfa)
+            assert construction.marked == frozenset()
+            assert construction.unmarked == frozenset(range(construction.state_count))
+        _assert_written_from_the_table(nfa)
+
+    def test_witness_10(self):
+        _assert_written_from_the_table(witness_ufa(10))
 
 
 class TestGraphFiles:
