@@ -25,15 +25,13 @@ from .automata import (
     complement_construction,
     complement_ufa,
     count_accepting_runs,
-    equivalent,
     forward_determinize,
     is_unambiguous,
+    measure_constructions,
     reachable_state_pairs,
     word_text,
 )
 from .bridge import (
-    CompositeSymbol,
-    TightnessReport,
     extract_graph,
     graph_to_ufa,
     verify_tightness,
@@ -59,8 +57,6 @@ from .graphs import (
     count_cocliques,
     enumerate_cliques,
     extremal_split_graph,
-    is_clique,
-    is_coclique,
     nearest_k,
     verify_product_bound,
 )

@@ -10,8 +10,6 @@ The subset constructions represent a subset of base states as an int mask
 for all letters are packed into one int, a subset's images are the OR of
 memoized chunk images, one per nonzero byte of its mask, and the packed
 result is unpacked into per-letter fields in one ``struct`` call.
-SubsetAutomaton keeps the masks; its ``states`` tuple of frozensets is
-built only when first read.
 
 complement_construction picks the side a complement is built from.
 complement_ufa turns it into an Nfa; the ``complement`` and ``determinize``
@@ -29,7 +27,6 @@ Word = tuple[str, ...]
 
 FORWARD = "forward"
 BACKWARD = "backward"
-_DIRECTIONS = (FORWARD, BACKWARD)
 
 # Default limit on subsets a single determinization may discover.
 DEFAULT_CAP = 1 << 20
@@ -240,14 +237,14 @@ class SubsetAutomaton:
     ``masks`` lists the discovered subsets of base states in breadth-first
     order, each as an int with bit q set iff base state q is a member; only
     subsets actually reached appear (the empty subset, mask 0, included
-    exactly when it is reached).  ``states`` is the same list as frozensets,
-    built on first read.  ``entry`` indexes the seed subset: the initial set
-    forward, the final set backward.  ``transition_table[i][j]`` is the
-    image of state ``i`` under ``base.alphabet[j]``; in the backward
+    exactly when it is reached).  ``entry`` indexes the seed subset: the
+    initial set forward, the final set backward.  ``transition_table[i][j]``
+    is the image of state ``i`` under ``base.alphabet[j]``; in the backward
     direction the image is the one-letter preimage, so viewed as an
     automaton the edge runs from the image back to ``i``.  ``marked`` holds
     the states whose subset meets base.final (forward) or base.initial
-    (backward).
+    (backward).  Only _determinize builds instances, so the fields are not
+    re-validated.
     """
 
     base: Nfa
@@ -256,28 +253,6 @@ class SubsetAutomaton:
     transition_table: tuple
     entry: int
     marked: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(self.masks))
-        object.__setattr__(
-            self, "transition_table", tuple(tuple(row) for row in self.transition_table)
-        )
-        object.__setattr__(self, "marked", frozenset(self.marked))
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(f"direction must be one of {_DIRECTIONS}")
-        if len(self.transition_table) != len(self.masks):
-            raise ValueError("transition table must cover every state")
-        width = len(self.base.alphabet)
-        if any(len(row) != width for row in self.transition_table):
-            raise ValueError("each transition table row must cover the alphabet")
-        if not 0 <= self.entry < len(self.masks):
-            raise ValueError("entry state out of range")
-
-    @cached_property
-    def states(self) -> tuple:
-        """The subsets of ``masks`` as frozensets of base states."""
-        n = self.base.state_count
-        return tuple(frozenset(q for q in range(n) if mask >> q & 1) for mask in self.masks)
 
     @property
     def state_count(self) -> int:
@@ -388,7 +363,7 @@ def _determinize(nfa: Nfa, direction: str, cap: int) -> SubsetAutomaton:
         table.append(row)
     against = _mask(mark_against)
     marked = frozenset(i for i, mask in enumerate(masks) if mask & against)
-    return SubsetAutomaton(nfa, direction, masks, table, 0, marked)
+    return SubsetAutomaton(nfa, direction, tuple(masks), tuple(table), 0, marked)
 
 
 def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:
@@ -431,33 +406,30 @@ def _both_constructions(nfa: Nfa, cap: int) -> tuple:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Sizes from one complementation: ``n`` input states, forward and
-    backward construction sizes ``k`` and ``l`` (None when that side hit the
-    cap), and which side the complement kept."""
+    """Sizes from one automaton: ``n`` input states and the forward and
+    backward construction sizes ``k`` and ``l`` (None when that side hit
+    the cap), against the upper bound sqrt(n + 1) * 2**(n / 2) on min(k, l)
+    and the lower bound at half of it, both compared on exact squares."""
 
     n: int
     k: int
     l: int
-    chosen: str
 
     def __post_init__(self):
-        if self.chosen not in _DIRECTIONS:
-            raise ValueError(f"chosen must be one of {_DIRECTIONS}")
         if self.k is None and self.l is None:
             raise ValueError("at least one construction size is required")
-        if self.k is not None and self.l is not None:
-            expected = FORWARD if self.k <= self.l else BACKWARD
-            if self.chosen != expected:
-                raise ValueError("chosen side must be the smaller construction (ties keep forward)")
-        elif self.k is None and self.chosen != BACKWARD:
-            raise ValueError("forward size unknown, so chosen must be backward")
-        elif self.l is None and self.chosen != FORWARD:
-            raise ValueError("backward size unknown, so chosen must be forward")
+
+    @property
+    def chosen(self) -> str:
+        """The side a complement keeps: the smaller known size, ties forward."""
+        if self.l is None or (self.k is not None and self.k <= self.l):
+            return FORWARD
+        return BACKWARD
 
     @property
     def result_states(self) -> int:
-        """States in the complement: the smaller known construction size."""
-        return min(size for size in (self.k, self.l) if size is not None)
+        """States in the complement: the size of the chosen side."""
+        return self.k if self.chosen == FORWARD else self.l
 
     @property
     def bound_sq(self) -> int:
@@ -466,8 +438,32 @@ class BoundReport:
 
     @property
     def within_bound(self) -> bool:
-        """result_states <= bound, compared exactly on squared integers."""
+        """result_states**2 <= (n + 1) * 2**n, exactly."""
         return self.result_states**2 <= self.bound_sq
+
+    @property
+    def holds_lower(self) -> bool:
+        """Both sizes are known and clear the halved bound:
+        4k**2 and 4l**2 >= (n + 1) * 2**n."""
+        return all(size is not None and 4 * size**2 >= self.bound_sq for size in (self.k, self.l))
+
+    @property
+    def holds(self) -> bool:
+        return self.within_bound and self.holds_lower
+
+
+def measure_constructions(nfa: Nfa, cap: int = DEFAULT_CAP) -> BoundReport:
+    """Run both constructions on ``nfa`` and report both sizes.
+
+    A side that exceeds ``cap`` raises its CapExceededError, with its
+    partial count; the forward side's error is raised first.
+    """
+    sides = _both_constructions(nfa, cap)
+    for side in sides:
+        if isinstance(side, CapExceededError):
+            raise side
+    forward, backward = sides
+    return BoundReport(nfa.state_count, forward.state_count, backward.state_count)
 
 
 def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
@@ -492,11 +488,8 @@ def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
     l = None if isinstance(backward, CapExceededError) else backward.state_count
     if k is None and l is None:
         raise CapExceededError("both", cap, cap)
-    if l is None or (k is not None and k <= l):
-        side, construction = FORWARD, forward
-    else:
-        side, construction = BACKWARD, backward
-    return construction, BoundReport(nfa.state_count, k, l, side)
+    report = BoundReport(nfa.state_count, k, l)
+    return (forward if report.chosen == FORWARD else backward), report
 
 
 def complement_ufa(nfa: Nfa, cap: int = DEFAULT_CAP):
@@ -509,32 +502,3 @@ def complement_ufa(nfa: Nfa, cap: int = DEFAULT_CAP):
     """
     construction, report = complement_construction(nfa, cap)
     return construction.as_complement_nfa(), report
-
-
-def equivalent(a: Nfa, b: Nfa, cap: int = DEFAULT_CAP):
-    """Whether two automata over the same alphabet accept the same language.
-
-    Both are forward-determinized, then the product is searched breadth
-    first for a state pair where exactly one side accepts.  Returns
-    (True, None) or (False, word) with a shortest distinguishing word.
-    The alphabets must be equal as sets; columns are matched by symbol.
-    """
-    if frozenset(a.alphabet) != frozenset(b.alphabet):
-        raise ValueError("automata must share one alphabet")
-    da = forward_determinize(a, cap)
-    db = forward_determinize(b, cap)
-    columns = [b.alphabet.index(sym) for sym in a.alphabet]
-    start = (da.entry, db.entry)
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        i, j = pair
-        if (i in da.marked) != (j in db.marked):
-            return False, _trace_word(parent, pair, reverse=True)
-        for col, sym in enumerate(a.alphabet):
-            child = (da.transition_table[i][col], db.transition_table[j][columns[col]])
-            if child not in parent:
-                parent[child] = (pair, sym)
-                queue.append(child)
-    return True, None

@@ -12,15 +12,13 @@ extremal_split_graph this yields witness automata whose smaller
 construction is within a factor 2 of sqrt(n + 1) * 2**(n / 2).
 """
 
-from dataclasses import dataclass
-
 from .automata import (
     DEFAULT_CAP,
     AmbiguousAutomatonError,
-    CapExceededError,
+    BoundReport,
     Nfa,
-    _both_constructions,
     is_unambiguous,
+    measure_constructions,
     reachable_state_pairs,
 )
 from .graphs import (
@@ -31,30 +29,11 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class CompositeSymbol:
-    """An alphabet letter naming a vertex set: tag 1 for a clique letter,
-    tag 2 for a coclique letter.
-
-    The printed label is ``c{...}`` or ``i{...}`` with the members sorted
-    and comma-separated, e.g. ``c{0,2}`` or ``i{}``.
-    """
-
-    tag: int
-    members: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if self.tag not in (1, 2):
-            raise ValueError("tag must be 1 (clique) or 2 (coclique)")
-        for v in self.members:
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"member {v!r} must be a nonnegative integer")
-
-    @property
-    def label(self) -> str:
-        kind = "c" if self.tag == 1 else "i"
-        return kind + "{" + ",".join(str(v) for v in sorted(self.members)) + "}"
+def _label(kind: str, members) -> str:
+    """The letter naming a vertex set: ``kind`` is ``c`` for a clique and
+    ``i`` for a coclique, followed by the members sorted and
+    comma-separated in braces, e.g. ``c{0,2}`` or ``i{}``."""
+    return kind + "{" + ",".join(str(v) for v in sorted(members)) + "}"
 
 
 def extract_graph(nfa: Nfa) -> Graph:
@@ -90,18 +69,13 @@ def graph_to_ufa(g: Graph) -> Nfa:
     """
     cliques = enumerate_cliques(g)
     cocliques = enumerate_cliques(complement_graph(g))
-    letters = [CompositeSymbol(1, members) for members in cliques]
-    letters += [CompositeSymbol(2, members) for members in cocliques]
-    alphabet = tuple(symbol.label for symbol in letters)
+    clique_letters = [_label("c", members) for members in cliques]
+    coclique_letters = [_label("i", members) for members in cocliques]
+    alphabet = tuple(clique_letters + coclique_letters)
     if g.vertex_count == 0:
         return Nfa(0, alphabet, frozenset(), frozenset(), frozenset())
-    transitions = set()
-    for symbol in letters:
-        for v in symbol.members:
-            if symbol.tag == 1:
-                transitions.add((0, symbol.label, v))
-            else:
-                transitions.add((v, symbol.label, 0))
+    transitions = {(0, a, v) for a, members in zip(clique_letters, cliques) for v in members}
+    transitions |= {(v, a, 0) for a, members in zip(coclique_letters, cocliques) for v in members}
     return Nfa(g.vertex_count, alphabet, transitions, frozenset({0}), frozenset({0}))
 
 
@@ -110,49 +84,7 @@ def witness_ufa(n: int) -> Nfa:
     return graph_to_ufa(extremal_split_graph(n))
 
 
-@dataclass(frozen=True)
-class TightnessReport:
-    """Construction sizes of one witness automaton against both bounds:
-    the upper bound sqrt(n + 1) * 2**(n / 2) on min(k, l) and the lower
-    bound at half of it, both compared on exact squares."""
-
-    n: int
-    k: int
-    l: int
-
-    @classmethod
-    def measure(cls, automaton: Nfa, cap: int = DEFAULT_CAP) -> "TightnessReport":
-        """Run both constructions on ``automaton`` and report their sizes.
-
-        A side that exceeds ``cap`` raises its CapExceededError, with its
-        partial count; the forward side's error is raised first.
-        """
-        forward, backward = _both_constructions(automaton, cap)
-        for side in (forward, backward):
-            if isinstance(side, CapExceededError):
-                raise side
-        return cls(automaton.state_count, forward.state_count, backward.state_count)
-
-    @property
-    def upper_sq(self) -> int:
-        """(n + 1) * 2**n, the exact square of the upper bound."""
-        return (self.n + 1) * (1 << self.n)
-
-    @property
-    def holds_upper(self) -> bool:
-        """min(k, l)**2 <= (n + 1) * 2**n, exactly."""
-        return min(self.k, self.l) ** 2 <= self.upper_sq
-
-    @property
-    def holds_lower(self) -> bool:
-        """Both sizes clear the halved bound: 4k**2 and 4l**2 >= (n + 1) * 2**n."""
-        return 4 * self.k**2 >= self.upper_sq and 4 * self.l**2 >= self.upper_sq
-
-    @property
-    def holds(self) -> bool:
-        return self.holds_upper and self.holds_lower
-
-
-def verify_tightness(n: int, cap: int = DEFAULT_CAP) -> TightnessReport:
-    """Measure witness_ufa(n) against both bounds (see TightnessReport.measure)."""
-    return TightnessReport.measure(witness_ufa(n), cap)
+def verify_tightness(n: int, cap: int = DEFAULT_CAP) -> BoundReport:
+    """Both construction sizes of witness_ufa(n) against both bounds (see
+    automata.measure_constructions)."""
+    return measure_constructions(witness_ufa(n), cap)

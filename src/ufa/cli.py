@@ -27,6 +27,7 @@ from .automata import (
     complement_construction,
     forward_determinize,
     is_unambiguous,
+    measure_constructions,
     word_text,
 )
 from .formats import (
@@ -87,12 +88,6 @@ def _yes_no(flag: bool) -> str:
 
 def _size_text(size, cap: int) -> str:
     return str(size) if size is not None else f">{cap}"
-
-
-def _quarter_text(value: int) -> str:
-    """value / 4 exactly: an integer when it divides, else a fraction."""
-    quarter = Fraction(value, 4)
-    return str(quarter.numerator) if quarter.denominator == 1 else str(quarter)
 
 
 def cmd_complement(args) -> int:
@@ -165,7 +160,8 @@ def _nonnegative(value: int, flag: str) -> int:
 def _tightness_line(report) -> str:
     return (
         f"n={report.n} k={report.k} l={report.l} "
-        f"lower_sq={_quarter_text(report.upper_sq)} upper_sq={report.upper_sq} "
+        # Fraction prints an exact quarter as an integer when it divides.
+        f"lower_sq={Fraction(report.bound_sq, 4)} upper_sq={report.bound_sq} "
         f"holds={_yes_no(report.holds)}"
     )
 
@@ -173,7 +169,7 @@ def _tightness_line(report) -> str:
 def cmd_witness(args) -> int:
     cap = _resolve_cap(args)
     automaton = bridge.witness_ufa(_nonnegative(args.n, "--n"))
-    report = bridge.TightnessReport.measure(automaton, cap)
+    report = measure_constructions(automaton, cap)
     print(_tightness_line(report))
     _emit(args, serialize_automaton(automaton))
     return EXIT_OK if report.holds else EXIT_VIOLATION

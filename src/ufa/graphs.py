@@ -116,19 +116,6 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def is_clique(g: Graph, vertices) -> bool:
-    """Whether every two distinct members are adjacent.
-
-    The empty set and singletons are cliques.
-    """
-    return _is_clique_mask(g._adj_masks, _vertex_mask(g, vertices))
-
-
-def is_coclique(g: Graph, vertices) -> bool:
-    """Whether no two members are adjacent (a clique of the complement)."""
-    return _is_coclique_mask(g._adj_masks, _vertex_mask(g, vertices))
-
-
 def complement_graph(g: Graph) -> Graph:
     """The graph with exactly the missing edges; an involution."""
     n = g.vertex_count

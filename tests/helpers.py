@@ -6,9 +6,10 @@ raw transition triples, and cliques by testing every vertex subset, so
 agreement with the fast implementations is meaningful.
 """
 
+from collections import deque
 from itertools import combinations
 
-from ufa import FORWARD, CapExceededError, Graph, Nfa
+from ufa import DEFAULT_CAP, FORWARD, CapExceededError, Graph, Nfa
 
 
 def a_plus() -> Nfa:
@@ -80,6 +81,16 @@ def brute_force_cliques(g: Graph) -> list:
             if all(v in g.adjacency[u] for u, v in combinations(members, 2)):
                 cliques.append(frozenset(members))
     return cliques
+
+
+def is_clique(g: Graph, vertices) -> bool:
+    """Whether every two distinct members are adjacent, checked pair by pair."""
+    return all(v in g.adjacency[u] for u, v in combinations(sorted(vertices), 2))
+
+
+def is_coclique(g: Graph, vertices) -> bool:
+    """Whether no two members are adjacent, checked pair by pair."""
+    return not any(v in g.adjacency[u] for u, v in combinations(sorted(vertices), 2))
 
 
 def enumerate_accepting_runs(nfa: Nfa, word) -> list:
@@ -176,6 +187,43 @@ def reference_determinize(nfa: Nfa, direction: str, cap: int):
         pos += 1
     marked = frozenset(i for i, subset in enumerate(states) if subset & mark_against)
     return tuple(states), tuple(table), 0, marked
+
+
+def subsets(construction) -> tuple:
+    """A subset construction's states as frozensets of base states, read
+    off its masks."""
+    n = construction.base.state_count
+    return tuple(frozenset(q for q in range(n) if mask >> q & 1) for mask in construction.masks)
+
+
+def equivalent(a: Nfa, b: Nfa, cap: int = DEFAULT_CAP):
+    """Whether two automata over the same alphabet accept the same language.
+
+    Both are determinized by reference_determinize, then the product is
+    searched breadth first for a state pair where exactly one side accepts.
+    Returns (True, None) or (False, word) with a shortest distinguishing
+    word.  The alphabets must be equal as sets; columns are matched by
+    symbol.
+    """
+    if frozenset(a.alphabet) != frozenset(b.alphabet):
+        raise ValueError("automata must share one alphabet")
+    _, table_a, entry_a, marked_a = reference_determinize(a, FORWARD, cap)
+    _, table_b, entry_b, marked_b = reference_determinize(b, FORWARD, cap)
+    columns = [b.alphabet.index(sym) for sym in a.alphabet]
+    start = (entry_a, entry_b)
+    words = {start: ()}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        i, j = pair
+        if (i in marked_a) != (j in marked_b):
+            return False, words[pair]
+        for col, sym in enumerate(a.alphabet):
+            child = (table_a[i][col], table_b[j][columns[col]])
+            if child not in words:
+                words[child] = words[pair] + (sym,)
+                queue.append(child)
+    return True, None
 
 
 def run_cli(argv, capsys):

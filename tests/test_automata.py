@@ -15,9 +15,9 @@ from ufa import (
     complement_construction,
     complement_ufa,
     count_accepting_runs,
-    equivalent,
     forward_determinize,
     is_unambiguous,
+    measure_constructions,
 )
 from ufa.automata import _both_constructions
 from ufa.bridge import witness_ufa
@@ -25,10 +25,12 @@ from helpers import (
     a_plus,
     a_star,
     enumerate_accepting_runs,
+    equivalent,
     language,
     random_nfa,
     random_nfa_any,
     reference_determinize,
+    subsets,
     two_loop,
     word_run_counts,
 )
@@ -61,7 +63,7 @@ class TestNfaValidation:
         empty = Nfa(0, ("a",), set(), set(), set())
         assert forward_determinize(empty).state_count == 1
         assert backward_determinize(empty).state_count == 1
-        assert forward_determinize(empty).states == (frozenset(),)
+        assert subsets(forward_determinize(empty)) == (frozenset(),)
 
     def test_coercion_makes_instances_hashable_and_equal(self):
         by_set = Nfa(2, ["a"], {(0, "a", 1)}, {0}, [1])
@@ -120,26 +122,26 @@ class TestIsUnambiguous:
 class TestDeterminize:
     def test_forward_a_plus(self):
         result = forward_determinize(a_plus())
-        assert result.states == (frozenset({0}), frozenset({1}))
+        assert subsets(result) == (frozenset({0}), frozenset({1}))
         assert result.entry == 0
         assert result.marked == {1}
 
     def test_forward_empty_initial_set(self):
         nfa = Nfa(2, ("a",), {(0, "a", 1)}, set(), {1})
         result = forward_determinize(nfa)
-        assert result.states == (frozenset(),)
+        assert subsets(result) == (frozenset(),)
         assert result.marked == frozenset()
 
     def test_backward_a_plus(self):
         result = backward_determinize(a_plus())
-        assert result.states == (frozenset({1}), frozenset({0, 1}))
+        assert subsets(result) == (frozenset({1}), frozenset({0, 1}))
         # Only the second subset meets the initial set {0}.
         assert result.marked == {1}
 
     def test_backward_empty_final_set(self):
         nfa = Nfa(2, ("a",), {(0, "a", 1)}, {0}, set())
         result = backward_determinize(nfa)
-        assert result.states == (frozenset(),)
+        assert subsets(result) == (frozenset(),)
 
     def test_cap_exceeded_carries_partial_count(self):
         with pytest.raises(CapExceededError) as info:
@@ -186,7 +188,7 @@ class TestDeterminize:
 def _engine_determinize(nfa, direction, cap):
     construct = forward_determinize if direction == FORWARD else backward_determinize
     result = construct(nfa, cap)
-    return result.states, result.transition_table, result.entry, result.marked
+    return subsets(result), result.transition_table, result.entry, result.marked
 
 
 def _outcome(build, nfa, direction, cap):
@@ -346,18 +348,66 @@ class TestComplement:
 
 
 class TestBoundReport:
-    def test_chosen_must_match_the_smaller_side(self):
-        with pytest.raises(ValueError, match="chosen"):
-            BoundReport(2, 2, 3, "backward")
-
     def test_tie_keeps_forward(self):
-        with pytest.raises(ValueError):
-            BoundReport(2, 2, 2, "backward")
-        assert BoundReport(2, 2, 2, "forward").result_states == 2
+        report = BoundReport(2, 2, 2)
+        assert report.chosen == "forward"
+        assert report.result_states == 2
+
+    def test_chosen_is_the_smaller_known_side(self):
+        assert BoundReport(4, 3, 5).chosen == "forward"
+        assert BoundReport(4, 5, 3).chosen == "backward"
+        assert (BoundReport(4, None, 7).chosen, BoundReport(4, None, 7).result_states) == (
+            "backward",
+            7,
+        )
+        assert (BoundReport(4, 7, None).chosen, BoundReport(4, 7, None).result_states) == (
+            "forward",
+            7,
+        )
+
+    def test_both_sizes_unknown_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            BoundReport(4, None, None)
 
     def test_bound_is_the_root_of_bound_sq(self):
-        report = BoundReport(4, 3, 5, "forward")
+        report = BoundReport(4, 3, 5)
         assert report.bound_sq == 80
+
+    def test_within_bound_is_exact_at_the_boundary(self):
+        # bound_sq is 80 at n = 4: 8**2 = 64 fits and 9**2 = 81 does not.
+        assert BoundReport(4, 8, 8).within_bound
+        assert not BoundReport(4, 9, 9).within_bound
+        assert BoundReport(4, 9, 8).within_bound
+
+    def test_holds_lower_is_exact_at_the_boundary(self):
+        # 4 * 5**2 = 100 clears 80; 4 * 4**2 = 64 and 4 * 1**2 = 4 do not.
+        assert BoundReport(4, 5, 5).holds_lower
+        assert not BoundReport(4, 4, 5).holds_lower
+        assert not BoundReport(4, 5, 4).holds_lower
+        report = BoundReport(4, 1, 100)
+        assert not report.holds_lower
+        assert not report.holds
+
+    def test_an_unknown_size_fails_the_lower_bound(self):
+        for report in (BoundReport(4, 8, None), BoundReport(4, None, 8)):
+            assert report.within_bound
+            assert not report.holds_lower
+            assert not report.holds
+
+    def test_holds_needs_both_bounds(self):
+        assert BoundReport(4, 9, 8).holds
+        assert not BoundReport(4, 9, 9).holds
+
+    def test_measure_constructions_reports_both_sizes(self):
+        rng = random.Random(47)
+        for _ in range(30):
+            nfa = random_nfa(rng, max_states=5)
+            report = measure_constructions(nfa)
+            assert report == BoundReport(
+                nfa.state_count,
+                forward_determinize(nfa).state_count,
+                backward_determinize(nfa).state_count,
+            )
 
 
 class TestEquivalent:

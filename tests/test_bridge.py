@@ -6,11 +6,10 @@ import pytest
 
 from ufa import (
     AmbiguousAutomatonError,
+    BoundReport,
     CapExceededError,
-    CompositeSymbol,
     Graph,
     Nfa,
-    TightnessReport,
     all_graphs,
     backward_determinize,
     count_accepting_runs,
@@ -18,30 +17,29 @@ from ufa import (
     count_cocliques,
     extract_graph,
     forward_determinize,
-    is_clique,
-    is_coclique,
     is_unambiguous,
+    measure_constructions,
     verify_tightness,
     witness_ufa,
 )
-from ufa.bridge import graph_to_ufa
-from helpers import a_plus, random_nfa, two_loop
+from ufa.bridge import _label, graph_to_ufa
+from helpers import a_plus, is_clique, is_coclique, random_nfa, subsets, two_loop
 
 
 class TestCompositeSymbol:
+    """The letter labels graph_to_ufa gives its clique and coclique sets."""
+
     def test_clique_label(self):
-        assert CompositeSymbol(1, {2, 0}).label == "c{0,2}"
+        assert _label("c", {2, 0}) == "c{0,2}"
+        # A set of these two iterates 8 first; the label sorts its members.
+        assert _label("c", frozenset({8, 1})) == "c{1,8}"
 
     def test_coclique_label(self):
-        assert CompositeSymbol(2, {1}).label == "i{1}"
+        assert _label("i", {1}) == "i{1}"
 
     def test_empty_labels(self):
-        assert CompositeSymbol(1, set()).label == "c{}"
-        assert CompositeSymbol(2, set()).label == "i{}"
-
-    def test_rejects_bad_tag(self):
-        with pytest.raises(ValueError, match="tag"):
-            CompositeSymbol(3, set())
+        assert _label("c", set()) == "c{}"
+        assert _label("i", set()) == "i{}"
 
 
 class TestExtractGraph:
@@ -70,7 +68,7 @@ class TestGraphToUfa:
         assert len(automaton.alphabet) == 7
         assert automaton.initial == automaton.final == {0}
         fwd = forward_determinize(automaton)
-        assert set(fwd.states) == {
+        assert set(subsets(fwd)) == {
             frozenset({0}),
             frozenset({1}),
             frozenset({0, 1}),
@@ -83,7 +81,7 @@ class TestGraphToUfa:
         assert automaton.state_count == 1
         for construct in (forward_determinize, backward_determinize):
             result = construct(automaton)
-            assert set(result.states) == {frozenset({0}), frozenset()}
+            assert set(subsets(result)) == {frozenset({0}), frozenset()}
 
     def test_zero_vertices_keeps_the_empty_letters(self):
         automaton = graph_to_ufa(Graph(0, ()))
@@ -140,8 +138,8 @@ class TestRoundTripContainment:
             bwd = backward_determinize(nfa)
             assert count_cliques(g) >= fwd.state_count
             assert count_cocliques(g) >= bwd.state_count
-            assert all(is_clique(g, subset) for subset in fwd.states)
-            assert all(is_coclique(g, subset) for subset in bwd.states)
+            assert all(is_clique(g, subset) for subset in subsets(fwd))
+            assert all(is_coclique(g, subset) for subset in subsets(bwd))
             checked += 1
         assert checked >= 20
 
@@ -178,7 +176,7 @@ class TestVerifyTightness:
     def test_n0(self):
         report = verify_tightness(0)
         assert (report.k, report.l) == (1, 1)
-        assert report.upper_sq == 1
+        assert report.bound_sq == 1
         assert report.holds
 
     def test_n1(self):
@@ -189,8 +187,8 @@ class TestVerifyTightness:
     def test_n4(self):
         report = verify_tightness(4)
         assert (report.k, report.l) == (9, 8)
-        assert report.upper_sq == 80
-        assert report.holds_lower and report.holds_upper
+        assert report.bound_sq == 80
+        assert report.holds_lower and report.within_bound
 
     def test_holds_through_n12(self):
         for n in range(13):
@@ -205,13 +203,13 @@ class TestVerifyTightness:
     def test_backward_cap_error_propagates(self):
         # witness_ufa(2) has k=3 and l=4, so cap 3 stops only the backward side.
         with pytest.raises(CapExceededError) as caught:
-            TightnessReport.measure(witness_ufa(2), cap=3)
+            measure_constructions(witness_ufa(2), cap=3)
         assert caught.value.direction == "backward"
         assert caught.value.partial_count == 3
 
     def test_report_flags_are_exact(self):
         # k = 1 against n = 4 fails the lower bound: 4 * 1 < 80.
-        report = TightnessReport(4, 1, 100)
+        report = BoundReport(4, 1, 100)
         assert not report.holds_lower
-        assert report.holds_upper
+        assert report.within_bound
         assert not report.holds

@@ -1,5 +1,7 @@
 """Unit tests for the command line: summary lines, exit codes, determinism."""
 
+from fractions import Fraction
+
 import pytest
 
 from ufa import (
@@ -247,6 +249,35 @@ class TestVerifyCommands:
         assert len(lines) == 5
         assert lines[2] == "n=2 k=3 l=4 lower_sq=3 upper_sq=12 holds=yes"
         assert all(line.endswith("holds=yes") for line in lines)
+
+
+def _closed_form_tightness_line(n: int) -> str:
+    """The witness line for n, from the closed forms of the split graph
+    with a clique on c vertices: k = 2**c + (n - c) forward subsets and
+    l = (c + 1) * 2**(n - c) backward ones."""
+    c = (n + (n + 1).bit_length() - 1) // 2
+    k = 2**c + (n - c)
+    l = (c + 1) * 2 ** (n - c)
+    upper = (n + 1) * 2**n
+    return f"n={n} k={k} l={l} lower_sq={Fraction(upper, 4)} upper_sq={upper} holds=yes"
+
+
+class TestTightnessLinesMatchTheClosedForms:
+    def test_closed_forms_start_at_one_and_one(self):
+        assert _closed_form_tightness_line(0) == (
+            "n=0 k=1 l=1 lower_sq=1/4 upper_sq=1 holds=yes"
+        )
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_witness(self, n, tmp_path, capsys):
+        written = tmp_path / "w.nfa"
+        code, out, err = run_cli(["witness", "--n", str(n), "-o", str(written)], capsys)
+        assert (code, out, err) == (EXIT_OK, _closed_form_tightness_line(n) + "\n", "")
+
+    def test_verify_tightness(self, capsys):
+        code, out, err = run_cli(["verify-tightness", "--max-n", "14"], capsys)
+        expected = "".join(_closed_form_tightness_line(n) + "\n" for n in range(15))
+        assert (code, out, err) == (EXIT_OK, expected, "")
 
 
 class TestDeterminism:

@@ -20,12 +20,10 @@ from ufa import (
     count_cocliques,
     enumerate_cliques,
     extremal_split_graph,
-    is_clique,
-    is_coclique,
     nearest_k,
     verify_product_bound,
 )
-from helpers import brute_force_cliques, path3, random_graph
+from helpers import brute_force_cliques, is_clique, is_coclique, path3, random_graph
 
 
 @st.composite
@@ -57,6 +55,9 @@ class TestGraphValidation:
 
 
 class TestIsClique:
+    """The pairwise clique and coclique oracles in helpers, and the range
+    check on the vertex sets the library takes."""
+
     def test_empty_set_is_a_clique(self):
         assert is_clique(path3(), frozenset())
         assert is_coclique(path3(), frozenset())
@@ -70,8 +71,9 @@ class TestIsClique:
         assert is_clique(Graph.complete(3), {0, 1, 2})
 
     def test_out_of_range_vertex(self):
-        with pytest.raises(ValueError, match="out of range"):
-            is_clique(path3(), {3})
+        for vertex_sets in (clique_coclique_partitions, clique_coclique_covers):
+            with pytest.raises(ValueError, match="out of range"):
+                vertex_sets(path3(), {3})
 
 
 class TestComplementGraph:
