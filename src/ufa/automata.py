@@ -11,6 +11,14 @@ for all letters are packed into one int, a subset's images are the OR of
 memoized chunk images, one per nonzero byte of its mask, and the packed
 result is unpacked into per-letter fields in one ``struct`` call.
 
+is_unambiguous searches pairs of states, each coded as the int p * n + q:
+first the pairs some word reaches from the initial states, then, along
+reversed edges from the final states, only those of the first search.  On
+a DFA the first search stays on the n pairs (q, q), so the second one does
+too, instead of spreading over up to n**2 pairs.  Transition rows are
+built only for states that have transitions, so a file that declares
+millions of states but has few transitions stays cheap.
+
 complement_construction picks the side a complement is built from.
 complement_ufa turns it into an Nfa; the ``complement`` and ``determinize``
 commands instead write the construction with
@@ -19,7 +27,6 @@ time linear in the table's cells.
 """
 
 import struct
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,12 +118,18 @@ class Nfa:
             )
 
     def _rows(self, here: int, there: int):
-        """Per symbol, per state at position ``here`` of the transition
-        triples, the sorted tuple of states at position ``there``."""
-        rows = {a: [[] for _ in range(self.state_count)] for a in self.alphabet}
+        """Per symbol, a list indexed by the state at position ``here`` of
+        the transition triples, of the sorted tuple of states at position
+        ``there``.  The triples are grouped first, so only states that have
+        transitions get a tuple of their own; the rest share ``()``."""
+        grouped = {}
         for triple in self.transitions:
-            rows[triple[1]][triple[here]].append(triple[there])
-        return {a: tuple(tuple(sorted(t)) for t in per_state) for a, per_state in rows.items()}
+            grouped.setdefault((triple[1], triple[here]), []).append(triple[there])
+        rows = {a: [()] * self.state_count for a in self.alphabet}
+        for (a, q), states in grouped.items():
+            states.sort()
+            rows[a][q] = tuple(states)
+        return rows
 
     @cached_property
     def _succ(self):
@@ -154,47 +167,84 @@ def count_accepting_runs(nfa: Nfa, word) -> int:
     return sum(counts[q] for q in nfa.final)
 
 
-def _pair_search(seed_pairs, alphabet, rows_by_symbol):
+def _pair_search(nfa: Nfa, backward: bool = False, allowed=None):
     """Breadth-first search over pairs of states stepped in lockstep.
 
-    Returns the discovery order and a parent map ``pair -> (parent, symbol)``
-    (seeds map to None).  Deterministic: seeds, alphabet, and successor
-    tuples are all explicitly ordered.
+    Forward, the seeds are the pairs of initial states and a pair steps to
+    the pairs of its successors; backward, the seeds are the pairs of final
+    states and a pair steps to the pairs of its predecessors.  A pair
+    (p, q) is coded as the int ``p * n + q``.  When ``allowed`` is given,
+    only pairs in it are visited.  Returns the discovery order and a
+    parent map ``code -> (parent code, symbol)`` (seeds map to None).
+    Deterministic: seeds, alphabet, and successor tuples are all
+    explicitly ordered.
     """
+    n = nfa.state_count
+    seeds = sorted(nfa.final if backward else nfa.initial)
+    rows_by_symbol = nfa._pred if backward else nfa._succ
+    columns = [(a, rows_by_symbol[a]) for a in nfa.alphabet]
     parent = {}
-    order = []
-    queue = deque()
-    for pair in seed_pairs:
-        if pair not in parent:
-            parent[pair] = None
-            order.append(pair)
-            queue.append(pair)
-    while queue:
-        pair = queue.popleft()
-        p, q = pair
-        for a in alphabet:
-            rows = rows_by_symbol[a]
+    for p in seeds:
+        for q in seeds:
+            code = p * n + q
+            if allowed is None or code in allowed:
+                parent[code] = None
+    # Iterating a list visits what is appended during the loop, which makes
+    # the discovery order the breadth-first queue.
+    order = list(parent)
+    for code in order:
+        p, q = divmod(code, n)
+        for a, rows in columns:
+            targets = rows[q]
+            if not targets:
+                continue
+            link = (code, a)
             for p2 in rows[p]:
-                for q2 in rows[q]:
-                    child = (p2, q2)
-                    if child not in parent:
-                        parent[child] = (pair, a)
+                base = p2 * n
+                for q2 in targets:
+                    child = base + q2
+                    if child not in parent and (allowed is None or child in allowed):
+                        parent[child] = link
                         order.append(child)
-                        queue.append(child)
     return order, parent
 
 
-def _trace_word(parent, pair, reverse: bool) -> Word:
-    """Word along the parent chain from ``pair`` back to a seed."""
+def _trace_word(parent, code, reverse: bool) -> Word:
+    """Word along the parent chain from ``code`` back to a seed."""
     symbols = []
-    link = parent[pair]
+    link = parent[code]
     while link is not None:
-        pair, a = link
+        code, a = link
         symbols.append(a)
-        link = parent[pair]
+        link = parent[code]
     if reverse:
         symbols.reverse()
     return tuple(symbols)
+
+
+def _unambiguity(nfa: Nfa):
+    """The forward pair search's discovery order (coded as in
+    _pair_search) and a witness word, or None when no word has two
+    accepting runs.
+
+    The backward search visits only forward-reachable pairs, which cannot
+    change the witness.  Backward, a pair Y discovers a pair X only when X
+    steps to Y on some letter, and if X is forward-reachable so is Y.  So
+    no pruned pair discovers a kept one, and the kept pairs keep the
+    discovery order and parents of the unpruned search.
+    """
+    fwd_order, fwd_parent = _pair_search(nfa)
+    _, bwd_parent = _pair_search(nfa, backward=True, allowed=fwd_parent)
+    n = nfa.state_count
+    for code in fwd_order:
+        if code in bwd_parent:
+            p, q = divmod(code, n)
+            if p != q:
+                witness = _trace_word(fwd_parent, code, reverse=True) + _trace_word(
+                    bwd_parent, code, reverse=False
+                )
+                return fwd_order, witness
+    return fwd_order, None
 
 
 def reachable_state_pairs(nfa: Nfa) -> list:
@@ -203,9 +253,8 @@ def reachable_state_pairs(nfa: Nfa) -> list:
     A pair (p, q) is included iff some single word reaches both p and q
     from initial states.  Breadth-first discovery order.
     """
-    seeds = [(p, q) for p in sorted(nfa.initial) for q in sorted(nfa.initial)]
-    order, _ = _pair_search(seeds, nfa.alphabet, nfa._succ)
-    return order
+    order, _ = _pair_search(nfa)
+    return [divmod(code, nfa.state_count) for code in order]
 
 
 def is_unambiguous(nfa: Nfa):
@@ -213,21 +262,12 @@ def is_unambiguous(nfa: Nfa):
 
     Ambiguity holds iff some pair of distinct states is both reachable from
     the initial states and co-reachable to the final states along common
-    words; both sides are searched over state pairs, so no words are
-    enumerated.  Returns (True, None) or (False, witness) where the witness
-    word has at least two accepting runs.
+    words (Weber & Seidl, TCS 1991); both sides are searched over state
+    pairs, so no words are enumerated.  Returns (True, None) or (False,
+    witness) where the witness word has at least two accepting runs.
     """
-    fwd_seeds = [(p, q) for p in sorted(nfa.initial) for q in sorted(nfa.initial)]
-    fwd_order, fwd_parent = _pair_search(fwd_seeds, nfa.alphabet, nfa._succ)
-    bwd_seeds = [(p, q) for p in sorted(nfa.final) for q in sorted(nfa.final)]
-    _, bwd_parent = _pair_search(bwd_seeds, nfa.alphabet, nfa._pred)
-    for pair in fwd_order:
-        if pair[0] != pair[1] and pair in bwd_parent:
-            witness = _trace_word(fwd_parent, pair, reverse=True) + _trace_word(
-                bwd_parent, pair, reverse=False
-            )
-            return False, witness
-    return True, None
+    _, witness = _unambiguity(nfa)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,22 @@ construction is within a factor 2 of sqrt(n + 1) * 2**(n / 2).
 """
 
 from .automata import (
+    BACKWARD,
     DEFAULT_CAP,
+    FORWARD,
     AmbiguousAutomatonError,
     BoundReport,
+    CapExceededError,
     Nfa,
-    is_unambiguous,
+    _unambiguity,
     measure_constructions,
-    reachable_state_pairs,
 )
 from .graphs import (
     Graph,
     complement_graph,
     enumerate_cliques,
     extremal_split_graph,
+    nearest_k,
 )
 
 
@@ -44,15 +47,13 @@ def extract_graph(nfa: Nfa) -> Graph:
     automaton is a clique of this graph, and every backward subset is a
     coclique, which is what ties construction sizes to clique counts.
     """
-    ok, witness = is_unambiguous(nfa)
-    if not ok:
+    pairs, witness = _unambiguity(nfa)
+    if witness is not None:
         raise AmbiguousAutomatonError(witness)
-    edges = {
-        (min(p, q), max(p, q))
-        for p, q in reachable_state_pairs(nfa)
-        if p != q
-    }
-    return Graph.from_edges(nfa.state_count, edges)
+    # The reachable pairs are symmetric, so the pairs with p < q are the edges.
+    n = nfa.state_count
+    edges = [(p, q) for p, q in (divmod(code, n) for code in pairs) if p < q]
+    return Graph.from_edges(n, edges)
 
 
 def graph_to_ufa(g: Graph) -> Nfa:
@@ -84,7 +85,32 @@ def witness_ufa(n: int) -> Nfa:
     return graph_to_ufa(extremal_split_graph(n))
 
 
+def _witness_sizes(n: int) -> tuple:
+    """The forward and backward construction sizes of witness_ufa(n), in
+    closed form: k = 2**c + (n - c) and l = (c + 1) * 2**(n - c) with
+    c = nearest_k(n), and k = l = 1 at n = 0."""
+    if n == 0:
+        return 1, 1
+    c = nearest_k(n)
+    return (1 << c) + n - c, (c + 1) << (n - c)
+
+
+def _measure_witness(n: int, cap: int) -> tuple:
+    """witness_ufa(n) and its BoundReport (see
+    automata.measure_constructions).
+
+    The closed-form sizes are checked against ``cap`` before any letter is
+    built: a side that would exceed it raises the CapExceededError its
+    construction would raise, with partial count ``cap``, forward first.
+    """
+    for side, size in zip((FORWARD, BACKWARD), _witness_sizes(n)):
+        if size > cap:
+            raise CapExceededError(side, cap, cap)
+    automaton = witness_ufa(n)
+    return automaton, measure_constructions(automaton, cap)
+
+
 def verify_tightness(n: int, cap: int = DEFAULT_CAP) -> BoundReport:
     """Both construction sizes of witness_ufa(n) against both bounds (see
     automata.measure_constructions)."""
-    return measure_constructions(witness_ufa(n), cap)
+    return _measure_witness(n, cap)[1]

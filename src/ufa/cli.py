@@ -27,7 +27,6 @@ from .automata import (
     complement_construction,
     forward_determinize,
     is_unambiguous,
-    measure_constructions,
     word_text,
 )
 from .formats import (
@@ -168,8 +167,7 @@ def _tightness_line(report) -> str:
 
 def cmd_witness(args) -> int:
     cap = _resolve_cap(args)
-    automaton = bridge.witness_ufa(_nonnegative(args.n, "--n"))
-    report = measure_constructions(automaton, cap)
+    automaton, report = bridge._measure_witness(_nonnegative(args.n, "--n"), cap)
     print(_tightness_line(report))
     _emit(args, serialize_automaton(automaton))
     return EXIT_OK if report.holds else EXIT_VIOLATION

@@ -148,6 +148,91 @@ def language(nfa: Nfa, max_len: int) -> set:
     return {word for word, count in word_run_counts(nfa, max_len).items() if count}
 
 
+def reference_rows(nfa: Nfa, backward: bool) -> dict:
+    """Per symbol, state -> sorted tuple of one-letter successors (or
+    predecessors, backward), read off the raw transition triples."""
+    rows = {a: {} for a in nfa.alphabet}
+    for src, sym, dst in nfa.transitions:
+        if backward:
+            src, dst = dst, src
+        rows[sym].setdefault(src, []).append(dst)
+    return {a: {q: tuple(sorted(t)) for q, t in per_state.items()} for a, per_state in rows.items()}
+
+
+def reference_pair_search(seeds, alphabet, rows_by_symbol):
+    """Breadth-first search over (p, q) tuples stepped in lockstep, with
+    an explicit queue and no pruning.
+
+    Returns the discovery order and a parent map ``pair -> (parent,
+    symbol)`` (seeds map to None).  Seeds, alphabet and successor tuples
+    are explicitly ordered, so the order is the one the library's coded
+    search must reproduce.
+    """
+    parent = {}
+    order = []
+    queue = deque()
+    for pair in seeds:
+        if pair not in parent:
+            parent[pair] = None
+            order.append(pair)
+            queue.append(pair)
+    while queue:
+        pair = queue.popleft()
+        p, q = pair
+        for a in alphabet:
+            rows = rows_by_symbol[a]
+            for p2 in rows.get(p, ()):
+                for q2 in rows.get(q, ()):
+                    child = (p2, q2)
+                    if child not in parent:
+                        parent[child] = (pair, a)
+                        order.append(child)
+                        queue.append(child)
+    return order, parent
+
+
+def _reference_trace(parent, pair, reverse: bool) -> tuple:
+    """Word along the parent chain from ``pair`` back to a seed."""
+    symbols = []
+    link = parent[pair]
+    while link is not None:
+        pair, a = link
+        symbols.append(a)
+        link = parent[pair]
+    if reverse:
+        symbols.reverse()
+    return tuple(symbols)
+
+
+def seed_pairs(states) -> list:
+    """Every ordered pair of ``states``, in sorted order."""
+    return [(p, q) for p in sorted(states) for q in sorted(states)]
+
+
+def reference_reachable_state_pairs(nfa: Nfa) -> list:
+    """The pairs some common word reaches from the initial states, in
+    breadth-first discovery order."""
+    order, _ = reference_pair_search(seed_pairs(nfa.initial), nfa.alphabet, reference_rows(nfa, False))
+    return order
+
+
+def reference_is_unambiguous(nfa: Nfa):
+    """(True, None) or (False, witness), by two full pair searches: the
+    first pair of distinct states in forward order that the backward
+    search also reaches gives the witness."""
+    fwd_order, fwd_parent = reference_pair_search(
+        seed_pairs(nfa.initial), nfa.alphabet, reference_rows(nfa, False)
+    )
+    _, bwd_parent = reference_pair_search(
+        seed_pairs(nfa.final), nfa.alphabet, reference_rows(nfa, True)
+    )
+    for pair in fwd_order:
+        if pair[0] != pair[1] and pair in bwd_parent:
+            witness = _reference_trace(fwd_parent, pair, True) + _reference_trace(bwd_parent, pair, False)
+            return False, witness
+    return True, None
+
+
 def reference_determinize(nfa: Nfa, direction: str, cap: int):
     """The subset construction on frozensets, from the raw transition triples.
 

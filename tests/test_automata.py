@@ -18,8 +18,9 @@ from ufa import (
     forward_determinize,
     is_unambiguous,
     measure_constructions,
+    reachable_state_pairs,
 )
-from ufa.automata import _both_constructions
+from ufa.automata import _both_constructions, _pair_search
 from ufa.bridge import witness_ufa
 from helpers import (
     a_plus,
@@ -30,6 +31,11 @@ from helpers import (
     random_nfa,
     random_nfa_any,
     reference_determinize,
+    reference_is_unambiguous,
+    reference_pair_search,
+    reference_reachable_state_pairs,
+    reference_rows,
+    seed_pairs,
     subsets,
     two_loop,
     word_run_counts,
@@ -117,6 +123,128 @@ class TestIsUnambiguous:
                 assert witness is None
             else:
                 assert count_accepting_runs(nfa, witness) >= 2
+
+
+def _random_automaton(rng) -> Nfa:
+    """0-8 states, 0-3 letters, any number of initial and final states,
+    and some states without outgoing transitions."""
+    n = rng.randint(0, 8)
+    alphabet = tuple("abc"[: rng.randint(0, 3)])
+    density = rng.choice((0.1, 0.25, 0.5))
+    silent = {q for q in range(n) if rng.random() < 0.2}
+    transitions = {
+        (q, a, r)
+        for q in range(n)
+        if q not in silent
+        for a in alphabet
+        for r in range(n)
+        if rng.random() < density
+    }
+    initial = {q for q in range(n) if rng.random() < 0.35}
+    final = {q for q in range(n) if rng.random() < 0.35}
+    return Nfa(n, alphabet, transitions, initial, final)
+
+
+def _random_dfa(rng, n: int, letters: int):
+    """A complete DFA on n states with one initial state; returns (targets,
+    initial, final) with targets[q][j] the image of q under letter j."""
+    targets = [[rng.randrange(n) for _ in range(letters)] for _ in range(n)]
+    final = {q for q in range(n) if rng.random() < 0.2}
+    return targets, rng.randrange(n), final
+
+
+def _dfa_with_twin(rng) -> Nfa:
+    """A random DFA plus a twin state: a new state copying the out-edges
+    and finality of the target of one edge, which also gets a copy
+    pointing at the twin.  Ambiguous exactly when that edge is used on
+    some accepted word."""
+    n = rng.randint(1, 7)
+    alphabet = tuple("abc"[: rng.randint(1, 3)])
+    targets, start, final = _random_dfa(rng, n, len(alphabet))
+    transitions = {(q, a, targets[q][j]) for q in range(n) for j, a in enumerate(alphabet)}
+    source, j = rng.randrange(n), rng.randrange(len(alphabet))
+    copied = targets[source][j]
+    twin = n
+    transitions |= {(twin, a, targets[copied][i]) for i, a in enumerate(alphabet)}
+    transitions.add((source, alphabet[j], twin))
+    if copied in final:
+        final = final | {twin}
+    return Nfa(n + 1, alphabet, transitions, {start}, final)
+
+
+class TestPairSearchAgainstTheOracle:
+    """The coded, pruned pair search gives the verdicts, witnesses and
+    pair orders of two full searches over (p, q) tuples."""
+
+    @staticmethod
+    def _instances():
+        rng = random.Random(2024)
+        pool = [_random_automaton(rng) for _ in range(1500)]
+        pool += [_dfa_with_twin(rng) for _ in range(500)]
+        pool += [
+            Nfa(0, (), set(), set(), set()),
+            Nfa(0, ("a", "b"), set(), set(), set()),
+            Nfa(3, (), set(), {0, 1, 2}, {1, 2}),
+            Nfa(3, ("a",), set(), {0, 1}, {0, 1}),
+        ]
+        return pool
+
+    def test_verdict_witness_and_pair_order(self):
+        ambiguous = 0
+        for nfa in self._instances():
+            expected = reference_is_unambiguous(nfa)
+            assert is_unambiguous(nfa) == expected
+            assert reachable_state_pairs(nfa) == reference_reachable_state_pairs(nfa)
+            ambiguous += not expected[0]
+        assert 300 <= ambiguous <= 1700
+
+    def test_planted_twins_are_found(self):
+        rng = random.Random(5)
+        found = 0
+        for _ in range(300):
+            nfa = _dfa_with_twin(rng)
+            ok, witness = is_unambiguous(nfa)
+            if not ok:
+                assert count_accepting_runs(nfa, witness) >= 2
+                found += 1
+        assert found >= 50
+
+    def test_pruned_backward_search_keeps_order_and_parents(self):
+        # Restricted to forward-reachable pairs, the full backward search
+        # of the oracle has the same discovery order and parent links.
+        rng = random.Random(99)
+        for _ in range(400):
+            nfa = rng.choice((_random_automaton, _dfa_with_twin))(rng)
+            n = nfa.state_count
+            _, forward = _pair_search(nfa)
+            order, parent = _pair_search(nfa, backward=True, allowed=forward)
+            full_order, full_parent = reference_pair_search(
+                seed_pairs(nfa.final), nfa.alphabet, reference_rows(nfa, backward=True)
+            )
+            kept = {divmod(code, n) for code in forward} if n else set()
+            assert [divmod(code, n) for code in order] == [pair for pair in full_order if pair in kept]
+            for code, link in parent.items():
+                want = full_parent[divmod(code, n)]
+                got = None if link is None else (divmod(link[0], n), link[1])
+                assert got == want
+
+    def test_dfa_backward_search_stays_on_the_diagonal(self):
+        # A DFA reaches only pairs (q, q), so the pruned backward search
+        # visits at most n pairs instead of up to n**2.
+        rng = random.Random(150)
+        n = 150
+        targets, start, final = _random_dfa(rng, n, 2)
+        final |= {rng.randrange(n) for _ in range(20)}
+        nfa = Nfa(
+            n, ("a", "b"),
+            {(q, a, targets[q][j]) for q in range(n) for j, a in enumerate("ab")},
+            {start}, final,
+        )
+        _, forward = _pair_search(nfa)
+        _, backward = _pair_search(nfa, backward=True, allowed=forward)
+        assert all(code % (n + 1) == 0 for code in forward)
+        assert 1 <= len(backward) <= n
+        assert is_unambiguous(nfa) == (True, None)
 
 
 class TestDeterminize:

@@ -22,8 +22,17 @@ from ufa import (
     verify_tightness,
     witness_ufa,
 )
-from ufa.bridge import _label, graph_to_ufa
-from helpers import a_plus, is_clique, is_coclique, random_nfa, subsets, two_loop
+from ufa.bridge import _label, _measure_witness, _witness_sizes, graph_to_ufa
+from helpers import (
+    a_plus,
+    is_clique,
+    is_coclique,
+    random_nfa,
+    reference_is_unambiguous,
+    reference_reachable_state_pairs,
+    subsets,
+    two_loop,
+)
 
 
 class TestCompositeSymbol:
@@ -59,6 +68,21 @@ class TestExtractGraph:
     def test_ambiguous_input_is_rejected(self):
         with pytest.raises(AmbiguousAutomatonError):
             extract_graph(two_loop())
+
+    def test_matches_the_pair_search_oracle(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            nfa = random_nfa(rng, max_states=7, density=rng.choice((0.15, 0.3)))
+            ok, witness = reference_is_unambiguous(nfa)
+            if not ok:
+                with pytest.raises(AmbiguousAutomatonError) as caught:
+                    extract_graph(nfa)
+                assert caught.value.witness == witness
+                continue
+            edges = sorted({
+                (min(p, q), max(p, q)) for p, q in reference_reachable_state_pairs(nfa) if p != q
+            })
+            assert extract_graph(nfa).edges() == edges
 
 
 class TestGraphToUfa:
@@ -206,6 +230,30 @@ class TestVerifyTightness:
             measure_constructions(witness_ufa(2), cap=3)
         assert caught.value.direction == "backward"
         assert caught.value.partial_count == 3
+
+    def test_closed_form_sizes(self):
+        for n in range(11):
+            report = measure_constructions(witness_ufa(n))
+            assert _witness_sizes(n) == (report.k, report.l)
+
+    @staticmethod
+    def _outcome(measure, n, cap):
+        try:
+            return measure(n, cap)[1]
+        except CapExceededError as exc:
+            return (exc.direction, exc.cap, exc.partial_count, str(exc))
+
+    def test_cap_check_before_the_work_raises_what_the_constructions_raise(self):
+        # Every cap near either size, and every cap up to both sizes at small n.
+        def built(n, cap):
+            automaton = witness_ufa(n)
+            return automaton, measure_constructions(automaton, cap)
+
+        for n in range(10):
+            k, l = _witness_sizes(n)
+            caps = range(1, max(k, l) + 2) if n <= 6 else {k - 1, k, k + 1, l - 1, l, l + 1}
+            for cap in caps:
+                assert self._outcome(_measure_witness, n, cap) == self._outcome(built, n, cap)
 
     def test_report_flags_are_exact(self):
         # k = 1 against n = 4 fails the lower bound: 4 * 1 < 80.

@@ -1,9 +1,14 @@
 """Unit tests for the command line: summary lines, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ufa
 from ufa import (
     Graph,
     backward_determinize,
@@ -278,6 +283,61 @@ class TestTightnessLinesMatchTheClosedForms:
         code, out, err = run_cli(["verify-tightness", "--max-n", "14"], capsys)
         expected = "".join(_closed_form_tightness_line(n) + "\n" for n in range(15))
         assert (code, out, err) == (EXIT_OK, expected, "")
+
+
+# Linux charges a process's peak memory with that of the process it was
+# forked from, so the measured command is started from a fresh, small
+# interpreter rather than from the test process.
+_MEASURE = """\
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[2:])
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+with open(sys.argv[1], "w") as report:
+    report.write(f"{child.returncode} {usage.ru_maxrss}")
+"""
+
+
+def _run_measured(argv, tmp_path):
+    """Run ``python -m ufa argv`` in a child process; returns its exit
+    code, stdout, stderr and peak resident memory in MB."""
+    source = str(Path(ufa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    report = tmp_path / "usage.txt"
+    done = subprocess.run(
+        [sys.executable, "-c", _MEASURE, str(report), sys.executable, "-m", "ufa", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    code, peak = map(int, report.read_text().split())
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
+    peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    return code, done.stdout, done.stderr, peak_mb
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+class TestCostFollowsTheInput:
+    """Memory follows what a file contains, not what it declares, and the
+    witness cap is checked before any letter is built."""
+
+    def test_declared_millions_of_states(self, tmp_path):
+        # 61 bytes: three million states but a single transition.  Rows
+        # allocated per declared state took 540 MB here.
+        path = tmp_path / "big.nfa"
+        path.write_text("nfa 3000000\nalphabet a b\ninitial 0\nfinal 2999999\ntrans 0 a 1\n")
+        code, out, err, peak_mb = _run_measured(["check-unambiguous", str(path)], tmp_path)
+        assert (code, out, err) == (EXIT_OK, "unambiguous=yes\n", "")
+        assert peak_mb < 300
+
+    def test_witness_cap_applies_before_the_letters_are_built(self, tmp_path):
+        # witness 28 has k = 2**16 + 12 forward subsets; building all its
+        # 135,180 letters first took 9 s and 570 MB.
+        code, out, err, peak_mb = _run_measured(["witness", "--n", "28", "--cap", "1000"], tmp_path)
+        assert (code, out) == (EXIT_CAP, "")
+        assert err == (
+            "error: state limit exceeded: forward determinization stopped after "
+            "discovering 1000 subsets (cap 1000)\n"
+        )
+        assert peak_mb < 100
 
 
 class TestDeterminism:
