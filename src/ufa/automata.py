@@ -11,13 +11,10 @@ for all letters are packed into one int, a subset's images are the OR of
 memoized chunk images, one per nonzero byte of its mask, and the packed
 result is unpacked into per-letter fields in one ``struct`` call.
 
-is_unambiguous searches pairs of states, each coded as the int p * n + q:
-first the pairs some word reaches from the initial states, then, along
-reversed edges from the final states, only those of the first search.  On
-a DFA the first search stays on the n pairs (q, q), so the second one does
-too, instead of spreading over up to n**2 pairs.  Transition rows are
-built only for states that have transitions, so a file that declares
-millions of states but has few transitions stays cheap.
+is_unambiguous searches pairs of states, coded as ints p * n + q, forward
+from the initial states and then backward from the final states over only
+the pairs the forward search reached: on a DFA at most n pairs, not n**2.
+Transition rows are built only for states that have transitions.
 
 complement_construction picks the side a complement is built from.
 complement_ufa turns it into an Nfa; the ``complement`` and ``determinize``
@@ -223,9 +220,9 @@ def _trace_word(parent, code, reverse: bool) -> Word:
 
 
 def _unambiguity(nfa: Nfa):
-    """The forward pair search's discovery order (coded as in
-    _pair_search) and a witness word, or None when no word has two
-    accepting runs.
+    """The pairs of the forward pair search, as (p, q) tuples in discovery
+    order (produced lazily, so they cost nothing unless read), and a
+    witness word, or None when no word has two accepting runs.
 
     The backward search visits only forward-reachable pairs, which cannot
     change the witness.  Backward, a pair Y discovers a pair X only when X
@@ -236,6 +233,7 @@ def _unambiguity(nfa: Nfa):
     fwd_order, fwd_parent = _pair_search(nfa)
     _, bwd_parent = _pair_search(nfa, backward=True, allowed=fwd_parent)
     n = nfa.state_count
+    witness = None
     for code in fwd_order:
         if code in bwd_parent:
             p, q = divmod(code, n)
@@ -243,8 +241,8 @@ def _unambiguity(nfa: Nfa):
                 witness = _trace_word(fwd_parent, code, reverse=True) + _trace_word(
                     bwd_parent, code, reverse=False
                 )
-                return fwd_order, witness
-    return fwd_order, None
+                break
+    return (divmod(code, n) for code in fwd_order), witness
 
 
 def reachable_state_pairs(nfa: Nfa) -> list:

@@ -51,9 +51,7 @@ def extract_graph(nfa: Nfa) -> Graph:
     if witness is not None:
         raise AmbiguousAutomatonError(witness)
     # The reachable pairs are symmetric, so the pairs with p < q are the edges.
-    n = nfa.state_count
-    edges = [(p, q) for p, q in (divmod(code, n) for code in pairs) if p < q]
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(nfa.state_count, [(p, q) for p, q in pairs if p < q])
 
 
 def graph_to_ufa(g: Graph) -> Nfa:
