@@ -44,6 +44,7 @@ from .formats import (
     serialize_automaton,
     serialize_graph,
     serialize_subset_automaton,
+    write_subset_automaton,
 )
 from .graphs import (
     Graph,

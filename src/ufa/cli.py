@@ -14,6 +14,7 @@ repeated runs on the same input are byte-identical.
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .formats import (
     parse_graph,
     serialize_automaton,
     serialize_graph,
-    serialize_subset_automaton,
+    write_subset_automaton,
 )
 
 EXIT_OK = 0
@@ -74,11 +75,32 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+@contextmanager
+def _output(args):
+    """The --output file, opened for writing, when given; otherwise stdout."""
+    if args.output is None:
+        yield sys.stdout
+        return
+    with Path(args.output).open("w", encoding="utf-8") as stream:
+        yield stream
+
+
 def _emit(args, document: str):
-    if args.output is not None:
-        Path(args.output).write_text(document, encoding="utf-8")
-    else:
-        sys.stdout.write(document)
+    with _output(args) as stream:
+        stream.write(document)
+
+
+def _digits(value: int) -> str:
+    """``value`` in decimal, however long.  Python refuses int-to-str
+    conversions above a digit limit (4300 by default); (n + 1) * 2**n
+    passes it at about 14,000 states."""
+    try:
+        return str(value)
+    except ValueError:
+        # Imported here so that no command pays for it at start-up.
+        from decimal import Decimal
+
+        return str(Decimal(value))
 
 
 def _yes_no(flag: bool) -> str:
@@ -96,9 +118,10 @@ def cmd_complement(args) -> int:
     side = "fwd" if report.chosen == FORWARD else "bwd"
     print(
         f"n={report.n} k={_size_text(report.k, cap)} l={_size_text(report.l, cap)} "
-        f"chosen={side} states={report.result_states} bound_sq={report.bound_sq}"
+        f"chosen={side} states={report.result_states} bound_sq={_digits(report.bound_sq)}"
     )
-    _emit(args, serialize_subset_automaton(construction, complement=True))
+    with _output(args) as stream:
+        write_subset_automaton(construction, stream, complement=True)
     return EXIT_OK
 
 
@@ -108,7 +131,8 @@ def cmd_determinize(args) -> int:
     construct = forward_determinize if args.direction == "fwd" else backward_determinize
     result = construct(nfa, cap)
     print(f"n={nfa.state_count} direction={args.direction} states={result.state_count}")
-    _emit(args, serialize_subset_automaton(result))
+    with _output(args) as stream:
+        write_subset_automaton(result, stream)
     return EXIT_OK
 
 
@@ -144,7 +168,7 @@ def cmd_count_cliques(args) -> int:
     holds = report.holds and report.min_holds
     print(
         f"n={report.n} cliques={report.cliques} cocliques={report.cocliques} "
-        f"product={report.product} bound={report.bound} "
+        f"product={report.product} bound={_digits(report.bound)} "
         f"min_sq={report.min_count**2} holds={_yes_no(holds)}"
     )
     return EXIT_OK if holds else EXIT_VIOLATION

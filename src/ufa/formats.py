@@ -20,12 +20,16 @@ canonical (sorted state sets, transitions by source then alphabet position
 then target, edges lexicographic with u < v), so parse and serialize are
 mutually inverse and repeated runs are byte-identical.
 
-serialize_subset_automaton writes a subset construction, or its complement,
-straight from its transition table, in time linear in the table's cells and
-without building an Nfa; its text is what serialize_automaton gives for the
-construction's Nfa view.
+write_subset_automaton writes a subset construction, or its complement, to
+a text stream straight from its transition table, in time linear in the
+table's cells and without building an Nfa; its text is what
+serialize_automaton gives for the construction's Nfa view.  It writes in
+bounded pieces (one per forward row, and backward at most _SLICE lines
+of one source), so the memory it needs follows the table, not the text.
+serialize_subset_automaton joins the same pieces into one string.
 """
 
+from array import array
 from itertools import chain, repeat
 from operator import floordiv, mod
 
@@ -157,43 +161,69 @@ def serialize_automaton(nfa: Nfa) -> str:
     return header + "".join(f"trans {src} {symbol} {dst}\n" for src, symbol, dst in ordered)
 
 
-def serialize_subset_automaton(construction: SubsetAutomaton, complement: bool = False) -> str:
-    """Canonical text for ``construction.as_nfa()``, or for
-    ``construction.as_complement_nfa()`` when ``complement`` is true,
-    written straight from the transition table.
+# The most lines in one backward piece: one source can own most of the
+# table's cells (845,952 of 1,220,736 in the backward construction of
+# witness_ufa(16)), so a piece per source would not be bounded.
+_SLICE = 1 << 15
+
+
+def _subset_automaton_pieces(construction: SubsetAutomaton, complement: bool):
+    """The canonical text of ``construction.as_nfa()``, or of
+    ``construction.as_complement_nfa()`` when ``complement`` is true, in
+    pieces written straight from the transition table.
 
     Each table cell is one transition.  Forward, cell (i, j) is the edge
-    from i to ``transition_table[i][j]``, so the rows are already in
-    canonical order.  Backward, it is the edge from ``transition_table[i][j]``
-    to i; one bucket pass over the cells, column by column, puts them in
-    order of source, then column, then target.  Every line is joined from
-    shared per-state and per-symbol strings, so the time is linear in the
-    cells.
+    from i to ``transition_table[i][j]``, so each row is one piece, already
+    in canonical order.  Backward, it is the edge from
+    ``transition_table[i][j]`` to i; one bucket pass over the cells, column
+    by column, puts them in order of source, then column, then target, and
+    each source's cells are written in slices of at most _SLICE.  Every
+    line is joined from shared per-state and per-symbol strings, so the
+    time is linear in the cells.
     """
     table = construction.transition_table
     alphabet = construction.base.alphabet
     size, width = construction.state_count, len(alphabet)
     entry = (construction.entry,)
     accepting = construction.unmarked if complement else construction.marked
+    symbols = [f"{symbol} " for symbol in alphabet]
+    targets = [f"{q}\n" for q in range(size)]
     if construction.direction == FORWARD:
-        header = _automaton_header(size, alphabet, entry, accepting)
-        sources = chain.from_iterable(map(repeat, range(size), repeat(width)))
-        columns = chain.from_iterable(repeat(range(width), size))
-        targets = chain.from_iterable(table)
-    else:
-        header = _automaton_header(size, alphabet, accepting, entry)
-        # Cells numbered column-major, j * size + i, in one bucket per source.
-        buckets = [[] for _ in range(size)]
-        for cell, source in enumerate(chain.from_iterable(zip(*table))):
-            buckets[source].append(cell)
-        sources = chain.from_iterable(map(repeat, range(size), map(len, buckets)))
-        columns = map(floordiv, chain.from_iterable(buckets), repeat(size))
-        targets = map(mod, chain.from_iterable(buckets), repeat(size))
-    parts = [header] + [None] * (3 * size * width)
-    parts[1::3] = map([f"trans {q} " for q in range(size)].__getitem__, sources)
-    parts[2::3] = map([f"{symbol} " for symbol in alphabet].__getitem__, columns)
-    parts[3::3] = map([f"{q}\n" for q in range(size)].__getitem__, targets)
-    return "".join(parts)
+        yield _automaton_header(size, alphabet, entry, accepting)
+        parts = [None] * (3 * width)
+        parts[1::3] = symbols
+        for source, row in enumerate(table):
+            parts[0::3] = repeat(f"trans {source} ", width)
+            parts[2::3] = map(targets.__getitem__, row)
+            yield "".join(parts)
+        return
+    yield _automaton_header(size, alphabet, accepting, entry)
+    # Cells numbered column-major, j * size + i, 4 bytes each, in one
+    # bucket per source.
+    buckets = [array("I") for _ in range(size)]
+    appends = [bucket.append for bucket in buckets]
+    for cell, source in enumerate(chain.from_iterable(zip(*table))):
+        appends[source](cell)
+    for source, cells in enumerate(buckets):
+        prefix = f"trans {source} "
+        for start in range(0, len(cells), _SLICE):
+            piece = cells[start:start + _SLICE]
+            parts = [prefix] * (3 * len(piece))
+            parts[1::3] = map(symbols.__getitem__, map(floordiv, piece, repeat(size)))
+            parts[2::3] = map(targets.__getitem__, map(mod, piece, repeat(size)))
+            yield "".join(parts)
+
+
+def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bool = False) -> None:
+    """Write the canonical text of ``construction.as_nfa()``, or of
+    ``construction.as_complement_nfa()`` when ``complement`` is true, to
+    the text stream ``stream`` in bounded pieces."""
+    stream.writelines(_subset_automaton_pieces(construction, complement))
+
+
+def serialize_subset_automaton(construction: SubsetAutomaton, complement: bool = False) -> str:
+    """The text write_subset_automaton writes, as one string."""
+    return "".join(_subset_automaton_pieces(construction, complement))
 
 
 def parse_graph(text: str) -> Graph:

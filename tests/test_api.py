@@ -53,6 +53,7 @@ PUBLIC_NAMES = [
     "verify_tightness",
     "witness_ufa",
     "word_text",
+    "write_subset_automaton",
 ]
 
 

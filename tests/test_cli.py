@@ -1,8 +1,10 @@
 """Unit tests for the command line: summary lines, exit codes, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 import ufa
 from ufa import (
     Graph,
+    ProductBoundReport,
     backward_determinize,
     complement_ufa,
     count_accepting_runs,
@@ -101,6 +104,25 @@ class TestComplementCommand:
         code, _, err = run_cli(["complement", a_plus_file], capsys)
         assert code == EXIT_PRECONDITION
         assert "UFA_CAP" in err
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_bound_of_any_length_prints_in_full(self, tmp_path):
+        # bound_sq = 50001 * 2**50000 has 15,057 digits, past the 4300 that
+        # Python converts to str by default; printing it raised ValueError
+        # and exited 1.  Decimal converts ints without that limit.
+        path = tmp_path / "big.nfa"
+        path.write_text("nfa 50000\nalphabet a b\ninitial 0\nfinal 49999\ntrans 0 a 1\n")
+        written = tmp_path / "c.nfa"
+        code, out, err, _ = _run_measured(["complement", str(path), "-o", str(written)], tmp_path)
+        bound_sq = Decimal(50001 * 2**50000)
+        assert (code, out, err) == (
+            EXIT_OK, f"n=50000 k=3 l=2 chosen=bwd states=2 bound_sq={bound_sq}\n", ""
+        )
+        # The language is empty, so the complement accepts every word.
+        assert written.read_text() == (
+            "nfa 2\nalphabet a b\ninitial 0 1\nfinal 0\n"
+            "trans 1 a 0\ntrans 1 a 1\ntrans 1 b 0\ntrans 1 b 1\n"
+        )
 
 
 class TestDeterminizeCommand:
@@ -194,6 +216,22 @@ class TestGraphCommands:
         assert code == EXIT_OK
         assert out == (
             "n=3 cliques=6 cocliques=5 product=30 bound=32 min_sq=25 holds=yes\n"
+        )
+
+    def test_count_cliques_prints_a_bound_of_any_length(self, tmp_path, capsys, monkeypatch):
+        # No graph this large can be counted, so the counts are stubbed;
+        # the bound 20001 * 2**20000 has 6025 digits.
+        monkeypatch.setattr(
+            ufa.graphs, "verify_product_bound", lambda graph: ProductBoundReport(20000, 3, 2)
+        )
+        path = tmp_path / "p3.graph"
+        path.write_text("graph 3\nedge 0 1\nedge 1 2\n")
+        code, out, err = run_cli(["count-cliques", str(path)], capsys)
+        bound = Decimal(20001 * 2**20000)
+        assert (code, out, err) == (
+            EXIT_OK,
+            f"n=20000 cliques=3 cocliques=2 product=6 bound={bound} min_sq=4 holds=yes\n",
+            "",
         )
 
 
@@ -336,6 +374,29 @@ class TestCostFollowsTheInput:
         assert err == (
             "error: state limit exceeded: forward determinization stopped after "
             "discovering 1000 subsets (cap 1000)\n"
+        )
+        assert peak_mb < 100
+
+    def test_complement_streams_the_witness_16_table(self, tmp_path):
+        # The complement of witness 16 is its backward construction: a
+        # 704 x 1734 table, 30.8 MB of text.  Joining the whole text before
+        # writing it peaked at 166 MB (Python 3.11 on Linux); writing it in
+        # pieces peaks at 47 MB.
+        source = tmp_path / "w16.nfa"
+        source.write_text(serialize_automaton(witness_ufa(16)))
+        written = tmp_path / "c16.nfa"
+        code, out, err, peak_mb = _run_measured(["complement", str(source), "-o", str(written)], tmp_path)
+        assert (code, out, err) == (
+            EXIT_OK, "n=16 k=1030 l=704 chosen=bwd states=704 bound_sq=1114112\n", ""
+        )
+        # The digest of serialize_automaton(complement_ufa(witness_ufa(16))[0]).
+        digest = hashlib.sha256()
+        with written.open("rb") as stream:
+            for block in iter(lambda: stream.read(1 << 20), b""):
+                digest.update(block)
+        assert written.stat().st_size == 30_813_653
+        assert digest.hexdigest() == (
+            "e0c44112bd1f7f48d699f1dbe746259a47a1bce72235078e1f4543a6cfe443f2"
         )
         assert peak_mb < 100
 

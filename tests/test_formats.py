@@ -1,6 +1,10 @@
 """Unit tests for the plain-text automaton and graph formats."""
 
+import io
 import random
+import tempfile
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +23,9 @@ from ufa import (
     serialize_graph,
     serialize_subset_automaton,
     witness_ufa,
+    write_subset_automaton,
 )
+from ufa import formats
 from helpers import a_plus, a_star, random_nfa, random_nfa_any
 
 A_PLUS_TEXT = """nfa 2
@@ -158,18 +164,53 @@ class TestSerializeAutomaton:
             assert parse_automaton(serialize_automaton(nfa)) == nfa
 
 
+class _Pieces(io.StringIO):
+    """A text stream that also keeps each piece written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
 def _assert_written_from_the_table(nfa):
-    """Both constructions of ``nfa``, with either marking, serialize
-    exactly as their Nfa views do, and parse back to them."""
+    """Both constructions of ``nfa``, with either marking, serialize and
+    stream (to a file and to a StringIO) exactly as their Nfa views
+    serialize, and parse back to them."""
     for construct in (forward_determinize, backward_determinize):
         construction = construct(nfa)
         for complement, view in (
             (False, construction.as_nfa()),
             (True, construction.as_complement_nfa()),
         ):
+            expected = serialize_automaton(view)
             text = serialize_subset_automaton(construction, complement=complement)
-            assert text == serialize_automaton(view)
+            assert text == expected
+            buffer = io.StringIO()
+            write_subset_automaton(construction, buffer, complement=complement)
+            assert buffer.getvalue() == expected
+            with tempfile.TemporaryFile("w+", encoding="utf-8") as stream:
+                write_subset_automaton(construction, stream, complement=complement)
+                stream.seek(0)
+                assert stream.read() == expected
             assert parse_automaton(text) == view
+
+
+def _wide_automaton(letters: int) -> Nfa:
+    """Three states over ``letters`` symbols.  Its backward construction
+    has eight states, and one of them is the source of more than half of
+    the table's cells."""
+    alphabet = tuple(f"s{i}" for i in range(letters))
+    transitions = {(0, a, 1) for a in alphabet[::2]} | {(1, a, 2) for a in alphabet[1::3]}
+    transitions |= {(2, a, 2) for a in alphabet[::5]}
+    return Nfa(3, alphabet, transitions, {0}, {2})
+
+
+def _busiest_source_cells(construction) -> int:
+    return max(Counter(chain.from_iterable(construction.transition_table)).values())
 
 
 class TestSerializeSubsetAutomaton:
@@ -209,6 +250,48 @@ class TestSerializeSubsetAutomaton:
 
     def test_witness_10(self):
         _assert_written_from_the_table(witness_ufa(10))
+
+    def test_busiest_backward_source_spans_several_slices(self):
+        nfa = _wide_automaton(formats._SLICE // 4)
+        assert _busiest_source_cells(backward_determinize(nfa)) > formats._SLICE
+        _assert_written_from_the_table(nfa)
+
+    @pytest.mark.parametrize("slice_lines", [1, 2, 3, 7])
+    def test_every_slice_boundary(self, monkeypatch, slice_lines):
+        monkeypatch.setattr(formats, "_SLICE", slice_lines)
+        rng = random.Random(37)
+        for _ in range(40):
+            _assert_written_from_the_table(random_nfa_any(rng))
+        _assert_written_from_the_table(witness_ufa(5))
+        _assert_written_from_the_table(_wide_automaton(40))
+
+    def test_forward_pieces_are_the_rows(self):
+        construction = forward_determinize(witness_ufa(6))
+        stream = _Pieces()
+        write_subset_automaton(construction, stream)
+        rows = stream.pieces[1:]
+        assert len(rows) == construction.state_count
+        width = len(construction.base.alphabet)
+        for source, row in enumerate(rows):
+            lines = row.splitlines()
+            assert len(lines) == width
+            assert all(line.startswith(f"trans {source} ") for line in lines)
+
+    def test_backward_pieces_are_bounded_slices_of_one_source(self):
+        construction = backward_determinize(_wide_automaton(formats._SLICE // 2))
+        busiest = _busiest_source_cells(construction)
+        assert busiest > 2 * formats._SLICE
+        stream = _Pieces()
+        write_subset_automaton(construction, stream, complement=True)
+        per_source = Counter()
+        for piece in stream.pieces[1:]:
+            lines = piece.splitlines()
+            assert 1 <= len(lines) <= formats._SLICE
+            sources = {line.split()[1] for line in lines}
+            assert len(sources) == 1
+            per_source[sources.pop()] += 1
+        # ceil(busiest / _SLICE) pieces for the busiest source.
+        assert max(per_source.values()) == -(-busiest // formats._SLICE)
 
 
 class TestGraphFiles:
