@@ -28,7 +28,6 @@ from .automata import (
     forward_determinize,
     is_unambiguous,
     measure_constructions,
-    reachable_state_pairs,
     word_text,
 )
 from .bridge import (
@@ -43,7 +42,6 @@ from .formats import (
     parse_graph,
     serialize_automaton,
     serialize_graph,
-    serialize_subset_automaton,
     write_subset_automaton,
 )
 from .graphs import (
@@ -51,8 +49,6 @@ from .graphs import (
     ProductBoundReport,
     all_graphs,
     check_graph_bounds,
-    clique_coclique_covers,
-    clique_coclique_partitions,
     complement_graph,
     count_cliques,
     count_cocliques,

@@ -19,7 +19,7 @@ Transition rows are built only for states that have transitions.
 complement_construction picks the side a complement is built from.
 complement_ufa turns it into an Nfa; the ``complement`` and ``determinize``
 commands instead write the construction with
-formats.serialize_subset_automaton, straight from its transition table in
+formats.write_subset_automaton, straight from its transition table in
 time linear in the table's cells.
 """
 
@@ -245,16 +245,6 @@ def _unambiguity(nfa: Nfa):
     return (divmod(code, n) for code in fwd_order), witness
 
 
-def reachable_state_pairs(nfa: Nfa) -> list:
-    """Ordered state pairs simultaneously reachable from the initial states.
-
-    A pair (p, q) is included iff some single word reaches both p and q
-    from initial states.  Breadth-first discovery order.
-    """
-    order, _ = _pair_search(nfa)
-    return [divmod(code, nfa.state_count) for code in order]
-
-
 def is_unambiguous(nfa: Nfa):
     """Whether no word has two accepting runs.
 
@@ -275,8 +265,8 @@ class SubsetAutomaton:
     ``masks`` lists the discovered subsets of base states in breadth-first
     order, each as an int with bit q set iff base state q is a member; only
     subsets actually reached appear (the empty subset, mask 0, included
-    exactly when it is reached).  ``entry`` indexes the seed subset: the
-    initial set forward, the final set backward.  ``transition_table[i][j]``
+    exactly when it is reached).  State 0 is the seed subset: the initial
+    set forward, the final set backward.  ``transition_table[i][j]``
     is the image of state ``i`` under ``base.alphabet[j]``; in the backward
     direction the image is the one-letter preimage, so viewed as an
     automaton the edge runs from the image back to ``i``.  ``marked`` holds
@@ -289,7 +279,6 @@ class SubsetAutomaton:
     direction: str
     masks: tuple
     transition_table: tuple
-    entry: int
     marked: frozenset
 
     @property
@@ -304,8 +293,8 @@ class SubsetAutomaton:
             for i, row in enumerate(self.transition_table)
             for a, j in zip(self.base.alphabet, row)
         )
-        entry = frozenset({self.entry})
-        initial, final = (entry, marked) if forward else (marked, entry)
+        seed = frozenset({0})
+        initial, final = (seed, marked) if forward else (marked, seed)
         return Nfa(self.state_count, self.base.alphabet, triples, initial, final)
 
     def as_nfa(self) -> Nfa:
@@ -401,7 +390,7 @@ def _determinize(nfa: Nfa, direction: str, cap: int) -> SubsetAutomaton:
         table.append(row)
     against = _mask(mark_against)
     marked = frozenset(i for i, mask in enumerate(masks) if mask & against)
-    return SubsetAutomaton(nfa, direction, tuple(masks), tuple(table), 0, marked)
+    return SubsetAutomaton(nfa, direction, tuple(masks), tuple(table), marked)
 
 
 def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:

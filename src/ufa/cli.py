@@ -72,7 +72,12 @@ def _resolve_cap(args) -> int:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text; a file that is not UTF-8 is malformed input."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: bad byte at offset {exc.start}") from None
 
 
 @contextmanager

@@ -26,7 +26,6 @@ table's cells and without building an Nfa; its text is what
 serialize_automaton gives for the construction's Nfa view.  It writes in
 bounded pieces (one per forward row, and backward at most _SLICE lines
 of one source), so the memory it needs follows the table, not the text.
-serialize_subset_automaton joins the same pieces into one string.
 """
 
 from array import array
@@ -179,17 +178,18 @@ def _subset_automaton_pieces(construction: SubsetAutomaton, complement: bool):
     by column, puts them in order of source, then column, then target, and
     each source's cells are written in slices of at most _SLICE.  Every
     line is joined from shared per-state and per-symbol strings, so the
-    time is linear in the cells.
+    time is linear in the cells.  State 0, the seed subset, is the initial
+    state forward and the final state backward.
     """
     table = construction.transition_table
     alphabet = construction.base.alphabet
     size, width = construction.state_count, len(alphabet)
-    entry = (construction.entry,)
+    seed = (0,)
     accepting = construction.unmarked if complement else construction.marked
     symbols = [f"{symbol} " for symbol in alphabet]
     targets = [f"{q}\n" for q in range(size)]
     if construction.direction == FORWARD:
-        yield _automaton_header(size, alphabet, entry, accepting)
+        yield _automaton_header(size, alphabet, seed, accepting)
         parts = [None] * (3 * width)
         parts[1::3] = symbols
         for source, row in enumerate(table):
@@ -197,7 +197,7 @@ def _subset_automaton_pieces(construction: SubsetAutomaton, complement: bool):
             parts[2::3] = map(targets.__getitem__, row)
             yield "".join(parts)
         return
-    yield _automaton_header(size, alphabet, accepting, entry)
+    yield _automaton_header(size, alphabet, accepting, seed)
     # Cells numbered column-major, j * size + i, 4 bytes each, in one
     # bucket per source.
     buckets = [array("I") for _ in range(size)]
@@ -219,11 +219,6 @@ def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bo
     ``construction.as_complement_nfa()`` when ``complement`` is true, to
     the text stream ``stream`` in bounded pieces."""
     stream.writelines(_subset_automaton_pieces(construction, complement))
-
-
-def serialize_subset_automaton(construction: SubsetAutomaton, complement: bool = False) -> str:
-    """The text write_subset_automaton writes, as one string."""
-    return "".join(_subset_automaton_pieces(construction, complement))
 
 
 def parse_graph(text: str) -> Graph:

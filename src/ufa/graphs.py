@@ -76,15 +76,6 @@ class Graph:
         )
 
 
-def _vertex_mask(g: Graph, vertices) -> int:
-    mask = 0
-    for v in vertices:
-        if not isinstance(v, int) or v < 0 or v >= g.vertex_count:
-            raise ValueError(f"vertex {v!r} out of range")
-        mask |= 1 << v
-    return mask
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -226,44 +217,27 @@ def verify_product_bound(g: Graph) -> ProductBoundReport:
     return ProductBoundReport(g.vertex_count, count_cliques(g), count_cocliques(g))
 
 
-def clique_coclique_partitions(g: Graph, vertices) -> list:
-    """All cliques X within ``vertices`` whose complement inside it is a coclique.
+def _subset_counts(g: Graph):
+    """For every vertex mask S, ascending, yield (S, partitions, covers).
 
-    Each such X splits the set into a clique and a coclique; the result
-    lists the clique halves, sorted by size then members.  For any set of
-    size s there are at most s + 1 of them.
+    ``partitions`` counts the cliques X within S whose rest S - X is a
+    coclique; ``covers`` counts the pairs (X, Y), X a clique and Y a
+    coclique, with X | Y = S, so Y is the rest plus a submask of X.  Both
+    come from one walk over the submasks X of S, and nothing is listed.
     """
-    smask = _vertex_mask(g, vertices)
     adj = g._adj_masks
-    halves = [
-        tuple(_bits(x))
-        for x in _submasks(smask)
-        if _is_clique_mask(adj, x) and _is_coclique_mask(adj, smask & ~x)
-    ]
-    halves.sort(key=lambda members: (len(members), members))
-    return [frozenset(members) for members in halves]
-
-
-def clique_coclique_covers(g: Graph, vertices) -> list:
-    """All pairs (X, Y) with X a clique, Y a coclique, X | Y = ``vertices``.
-
-    X and Y may overlap.  Sorted by the clique half then the coclique half
-    (size, then members).  For any set of size s there are at most 2s + 1
-    such pairs.
-    """
-    smask = _vertex_mask(g, vertices)
-    adj = g._adj_masks
-    pairs = []
-    for x in _submasks(smask):
-        if not _is_clique_mask(adj, x):
-            continue
-        rest = smask & ~x
-        for overlap in _submasks(x):
-            y = rest | overlap
-            if _is_coclique_mask(adj, y):
-                pairs.append((tuple(_bits(x)), tuple(_bits(y))))
-    pairs.sort(key=lambda xy: (len(xy[0]), xy[0], len(xy[1]), xy[1]))
-    return [(frozenset(x), frozenset(y)) for x, y in pairs]
+    for smask in range(1 << g.vertex_count):
+        partitions = covers = 0
+        for x in _submasks(smask):
+            if not _is_clique_mask(adj, x):
+                continue
+            rest = smask & ~x
+            if _is_coclique_mask(adj, rest):
+                partitions += 1
+            for overlap in _submasks(x):
+                if _is_coclique_mask(adj, rest | overlap):
+                    covers += 1
+        yield smask, partitions, covers
 
 
 def check_graph_bounds(g: Graph) -> list:
@@ -287,20 +261,17 @@ def check_graph_bounds(g: Graph) -> list:
             f"min(cliques, cocliques) = {report.min_count} squared exceeds {report.bound}"
         )
     cover_total = 0
-    for smask in range(1 << g.vertex_count):
-        subset = frozenset(_bits(smask))
-        size = len(subset)
-        partitions = clique_coclique_partitions(g, subset)
-        if len(partitions) > size + 1:
+    for smask, partitions, covers in _subset_counts(g):
+        size = smask.bit_count()
+        if partitions > size + 1:
             violations.append(
-                f"{len(partitions)} partitions of {sorted(subset)} exceed {size + 1}"
+                f"{partitions} partitions of {sorted(_bits(smask))} exceed {size + 1}"
             )
-        covers = clique_coclique_covers(g, subset)
-        if len(covers) > 2 * size + 1:
+        if covers > 2 * size + 1:
             violations.append(
-                f"{len(covers)} covering pairs of {sorted(subset)} exceed {2 * size + 1}"
+                f"{covers} covering pairs of {sorted(_bits(smask))} exceed {2 * size + 1}"
             )
-        cover_total += len(covers)
+        cover_total += covers
     if cover_total != report.product:
         violations.append(
             f"covering pairs total {cover_total}, expected {report.product}"

@@ -93,6 +93,41 @@ def is_coclique(g: Graph, vertices) -> bool:
     return not any(v in g.adjacency[u] for u, v in combinations(sorted(vertices), 2))
 
 
+def _subsets_by_size(vertices) -> list:
+    """Every subset of ``vertices`` as a sorted tuple, by size then members."""
+    members = sorted(vertices)
+    return [x for size in range(len(members) + 1) for x in combinations(members, size)]
+
+
+def reference_partitions(g: Graph, vertices) -> list:
+    """Every clique X within ``vertices`` whose rest is a coclique, sorted
+    by size then members, found by testing every subset pair by pair."""
+    everything = set(vertices)
+    return [
+        frozenset(x)
+        for x in _subsets_by_size(everything)
+        if is_clique(g, x) and is_coclique(g, everything - set(x))
+    ]
+
+
+def reference_covers(g: Graph, vertices) -> list:
+    """Every pair (X, Y), X a clique and Y a coclique, with X | Y equal to
+    ``vertices``, sorted by X then Y (size, then members).  Y is the set
+    minus X plus any subset of X, each tested pair by pair."""
+    everything = set(vertices)
+    pairs = []
+    for x in _subsets_by_size(everything):
+        if not is_clique(g, x):
+            continue
+        rest = everything - set(x)
+        for overlap in _subsets_by_size(x):
+            y = tuple(sorted(rest | set(overlap)))
+            if is_coclique(g, y):
+                pairs.append((x, y))
+    pairs.sort(key=lambda xy: (len(xy[0]), xy[0], len(xy[1]), xy[1]))
+    return [(frozenset(x), frozenset(y)) for x, y in pairs]
+
+
 def enumerate_accepting_runs(nfa: Nfa, word) -> list:
     """All accepting runs as state sequences, by explicit search."""
     successors = {}

@@ -27,8 +27,6 @@ PUBLIC_NAMES = [
     "all_graphs",
     "backward_determinize",
     "check_graph_bounds",
-    "clique_coclique_covers",
-    "clique_coclique_partitions",
     "complement_construction",
     "complement_graph",
     "complement_ufa",
@@ -45,10 +43,8 @@ PUBLIC_NAMES = [
     "nearest_k",
     "parse_automaton",
     "parse_graph",
-    "reachable_state_pairs",
     "serialize_automaton",
     "serialize_graph",
-    "serialize_subset_automaton",
     "verify_product_bound",
     "verify_tightness",
     "witness_ufa",

@@ -187,6 +187,13 @@ class TestCheckUnambiguousCommand:
         assert code == EXIT_PRECONDITION
         assert out.startswith("unambiguous=no witness=")
 
+    def test_non_utf8_file_exits_2_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.nfa"
+        path.write_bytes(b"nfa 1\nalphabet \xff\n")
+        assert run_cli(["check-unambiguous", str(path)], capsys) == (
+            EXIT_PRECONDITION, "", f"error: {path} is not UTF-8: bad byte at offset 15\n"
+        )
+
 
 class TestGraphCommands:
     def test_extract_graph(self, a_plus_file, tmp_path, capsys):
@@ -216,6 +223,13 @@ class TestGraphCommands:
         assert code == EXIT_OK
         assert out == (
             "n=3 cliques=6 cocliques=5 product=30 bound=32 min_sq=25 holds=yes\n"
+        )
+
+    def test_count_cliques_on_a_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.graph"
+        path.write_bytes(b"# caf\xe9\ngraph 2\nedge 0 1\n")
+        assert run_cli(["count-cliques", str(path)], capsys) == (
+            EXIT_PRECONDITION, "", f"error: {path} is not UTF-8: bad byte at offset 5\n"
         )
 
     def test_count_cliques_prints_a_bound_of_any_length(self, tmp_path, capsys, monkeypatch):

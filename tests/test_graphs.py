@@ -13,8 +13,6 @@ from ufa import (
     Graph,
     all_graphs,
     check_graph_bounds,
-    clique_coclique_covers,
-    clique_coclique_partitions,
     complement_graph,
     count_cliques,
     count_cocliques,
@@ -23,7 +21,16 @@ from ufa import (
     nearest_k,
     verify_product_bound,
 )
-from helpers import brute_force_cliques, is_clique, is_coclique, path3, random_graph
+from ufa.graphs import _subset_counts
+from helpers import (
+    brute_force_cliques,
+    is_clique,
+    is_coclique,
+    path3,
+    random_graph,
+    reference_covers,
+    reference_partitions,
+)
 
 
 @st.composite
@@ -55,8 +62,7 @@ class TestGraphValidation:
 
 
 class TestIsClique:
-    """The pairwise clique and coclique oracles in helpers, and the range
-    check on the vertex sets the library takes."""
+    """The pairwise clique and coclique oracles in helpers."""
 
     def test_empty_set_is_a_clique(self):
         assert is_clique(path3(), frozenset())
@@ -69,11 +75,6 @@ class TestIsClique:
 
     def test_complete_graph_full_set(self):
         assert is_clique(Graph.complete(3), {0, 1, 2})
-
-    def test_out_of_range_vertex(self):
-        for vertex_sets in (clique_coclique_partitions, clique_coclique_covers):
-            with pytest.raises(ValueError, match="out of range"):
-                vertex_sets(path3(), {3})
 
 
 class TestComplementGraph:
@@ -154,17 +155,20 @@ class TestEnumerateCliques:
 
 
 class TestPartitions:
+    """The partition oracle in helpers, which _subset_counts is checked
+    against."""
+
     def test_empty_set_has_the_empty_partition(self):
-        assert clique_coclique_partitions(path3(), frozenset()) == [frozenset()]
+        assert reference_partitions(path3(), frozenset()) == [frozenset()]
 
     def test_single_edge_full_set(self):
         g = Graph.complete(2)
-        assert clique_coclique_partitions(g, {0, 1}) == [{0}, {1}, {0, 1}]
+        assert reference_partitions(g, {0, 1}) == [{0}, {1}, {0, 1}]
 
     def test_complete_graph_keeps_at_most_one_vertex_out(self):
         n = 4
         g = Graph.complete(n)
-        halves = clique_coclique_partitions(g, set(range(n)))
+        halves = reference_partitions(g, set(range(n)))
         assert len(halves) == n + 1
         assert all(len(set(range(n)) - x) <= 1 for x in halves)
 
@@ -173,18 +177,20 @@ class TestPartitions:
         for _ in range(30):
             g = random_graph(rng, 6)
             s = {v for v in range(6) if rng.random() < 0.5}
-            for x in clique_coclique_partitions(g, s):
+            for x in reference_partitions(g, s):
                 assert is_clique(g, x)
                 assert is_coclique(g, s - x)
 
 
 class TestCovers:
+    """The cover oracle in helpers, which _subset_counts is checked against."""
+
     def test_empty_set(self):
-        assert clique_coclique_covers(path3(), frozenset()) == [(frozenset(), frozenset())]
+        assert reference_covers(path3(), frozenset()) == [(frozenset(), frozenset())]
 
     def test_isolated_vertex(self):
         g = Graph(1, (frozenset(),))
-        assert clique_coclique_covers(g, {0}) == [
+        assert reference_covers(g, {0}) == [
             (frozenset(), {0}),
             ({0}, frozenset()),
             ({0}, {0}),
@@ -193,17 +199,59 @@ class TestCovers:
     def test_complete_graph_has_exactly_2n_plus_1(self):
         for n in (2, 3, 5):
             g = Graph.complete(n)
-            assert len(clique_coclique_covers(g, set(range(n)))) == 2 * n + 1
+            assert len(reference_covers(g, set(range(n)))) == 2 * n + 1
 
     def test_pairs_cover_the_set(self):
         rng = random.Random(5)
         for _ in range(30):
             g = random_graph(rng, 5)
             s = {v for v in range(5) if rng.random() < 0.6}
-            for x, y in clique_coclique_covers(g, s):
+            for x, y in reference_covers(g, s):
                 assert is_clique(g, x)
                 assert is_coclique(g, y)
                 assert x | y == s
+
+
+def _members(mask: int) -> set:
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+def _assert_counts_match_the_oracles(g):
+    counts = list(_subset_counts(g))
+    assert [mask for mask, _, _ in counts] == list(range(1 << g.vertex_count))
+    for mask, partitions, covers in counts:
+        s = _members(mask)
+        assert partitions == len(reference_partitions(g, s)), (g, s)
+        assert covers == len(reference_covers(g, s)), (g, s)
+
+
+class TestSubsetCounts:
+    def test_every_graph_up_to_five_vertices(self):
+        checked = 0
+        for n in range(6):
+            for g in all_graphs(n):
+                _assert_counts_match_the_oracles(g)
+                checked += 1
+        assert checked == 1100
+
+    def test_seeded_six_and_seven_vertex_graphs(self):
+        rng = random.Random(41)
+        for n in (6, 7):
+            for _ in range(100):
+                _assert_counts_match_the_oracles(random_graph(rng, n, rng.random()))
+
+    def test_inflated_counts_give_the_exact_violations(self, monkeypatch):
+        # Counts for the 2-vertex complete graph, whose true product is
+        # 4 * 3 = 12, raised past every per-set bound on some set.
+        fake = [(0, 1, 1), (1, 3, 2), (2, 2, 4), (3, 4, 9)]
+        monkeypatch.setattr("ufa.graphs._subset_counts", lambda g: iter(fake))
+        assert check_graph_bounds(Graph.complete(2)) == [
+            "3 partitions of [0] exceed 2",
+            "4 covering pairs of [1] exceed 3",
+            "4 partitions of [0, 1] exceed 3",
+            "9 covering pairs of [0, 1] exceed 5",
+            "covering pairs total 16, expected 12",
+        ]
 
 
 class TestProductBound:
