@@ -49,10 +49,8 @@ from .graphs import (
     ProductBoundReport,
     all_graphs,
     check_graph_bounds,
-    complement_graph,
     count_cliques,
     count_cocliques,
-    enumerate_cliques,
     extremal_split_graph,
     nearest_k,
     verify_product_bound,

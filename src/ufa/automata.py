@@ -483,13 +483,11 @@ def measure_constructions(nfa: Nfa, cap: int = DEFAULT_CAP) -> BoundReport:
     """Run both constructions on ``nfa`` and report both sizes.
 
     A side that exceeds ``cap`` raises its CapExceededError, with its
-    partial count; the forward side's error is raised first.
+    partial count; the forward side runs first, so its error stops the
+    backward side from starting.
     """
-    sides = _both_constructions(nfa, cap)
-    for side in sides:
-        if isinstance(side, CapExceededError):
-            raise side
-    forward, backward = sides
+    forward = forward_determinize(nfa, cap)
+    backward = backward_determinize(nfa, cap)
     return BoundReport(nfa.state_count, forward.state_count, backward.state_count)
 
 

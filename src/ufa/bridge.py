@@ -25,8 +25,8 @@ from .automata import (
 )
 from .graphs import (
     Graph,
-    complement_graph,
-    enumerate_cliques,
+    _cliques,
+    _non_neighbor_masks,
     extremal_split_graph,
     nearest_k,
 )
@@ -63,11 +63,11 @@ def graph_to_ufa(g: Graph) -> Nfa:
     (edges from each member of Y back to vertex 0); vertex 0 is the single
     initial and final state.  Words alternate strictly between entering a
     named set and leaving one, and unambiguity follows from the sets being
-    cliques and cocliques.  Clique letters come first, each group in the
-    canonical enumeration order.
+    cliques and cocliques.  Clique letters come first, each group sorted
+    by size, then members.
     """
-    cliques = enumerate_cliques(g)
-    cocliques = enumerate_cliques(complement_graph(g))
+    cliques = _cliques(g._adj_masks)
+    cocliques = _cliques(_non_neighbor_masks(g))
     clique_letters = [_label("c", members) for members in cliques]
     coclique_letters = [_label("i", members) for members in cocliques]
     alphabet = tuple(clique_letters + coclique_letters)

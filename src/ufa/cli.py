@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
 from . import bridge, graphs
@@ -186,11 +185,12 @@ def _nonnegative(value: int, flag: str) -> int:
 
 
 def _tightness_line(report) -> str:
+    bound_sq = report.bound_sq
+    # A quarter of (n + 1) * 2**n is whole for every n but 0, which prints 1/4.
+    lower_sq = bound_sq // 4 if bound_sq % 4 == 0 else f"{bound_sq}/4"
     return (
         f"n={report.n} k={report.k} l={report.l} "
-        # Fraction prints an exact quarter as an integer when it divides.
-        f"lower_sq={Fraction(report.bound_sq, 4)} upper_sq={report.bound_sq} "
-        f"holds={_yes_no(report.holds)}"
+        f"lower_sq={lower_sq} upper_sq={bound_sq} holds={_yes_no(report.holds)}"
     )
 
 

@@ -28,6 +28,7 @@ bounded pieces (one per forward row, and backward at most _SLICE lines
 of one source), so the memory it needs follows the table, not the text.
 """
 
+import sys
 from array import array
 from itertools import chain, repeat
 from operator import floordiv, mod
@@ -78,6 +79,10 @@ def _header_count(lines, keyword: str, noun: str) -> int:
     count = _int_token(tokens[1], noun, line_no)
     if count < 0:
         raise ParseError(f"{noun} must be nonnegative", line_no)
+    # Past sys.maxsize no list can be that long: allocating one per state
+    # or vertex fails with OverflowError, or never ends.
+    if count > sys.maxsize:
+        raise ParseError(f"{noun} must be at most {sys.maxsize}", line_no)
     return count
 
 

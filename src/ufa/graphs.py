@@ -53,12 +53,6 @@ class Graph:
             neighbors[v].add(u)
         return cls(vertex_count, tuple(frozenset(s) for s in neighbors))
 
-    @classmethod
-    def complete(cls, vertex_count: int) -> "Graph":
-        """The complete graph: every pair of distinct vertices adjacent."""
-        everyone = frozenset(range(vertex_count))
-        return cls(vertex_count, tuple(everyone - {v} for v in range(vertex_count)))
-
     def edges(self) -> list:
         """Edge list as (u, v) pairs with u < v, in lexicographic order."""
         return [
@@ -107,18 +101,6 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def complement_graph(g: Graph) -> Graph:
-    """The graph with exactly the missing edges; an involution."""
-    n = g.vertex_count
-    return Graph(
-        n,
-        tuple(
-            frozenset(v for v in range(n) if v != u and v not in g.adjacency[u])
-            for u in range(n)
-        ),
-    )
-
-
 def _count_cliques_within(adj_masks, candidates: int) -> int:
     """Cliques, the empty one included, among the vertices of the mask
     ``candidates`` in the graph with neighbor masks ``adj_masks``.
@@ -150,35 +132,39 @@ def count_cliques(g: Graph) -> int:
     return _count_cliques_within(g._adj_masks, (1 << g.vertex_count) - 1)
 
 
+def _non_neighbor_masks(g: Graph) -> list:
+    """The complement graph's neighbor masks: each vertex's non-neighbors,
+    itself excluded.  Its cliques are the cocliques of ``g``."""
+    full = (1 << g.vertex_count) - 1
+    return [full & ~adj & ~(1 << v) for v, adj in enumerate(g._adj_masks)]
+
+
 def count_cocliques(g: Graph) -> int:
     """Exact number of cocliques: the clique count of the complement,
     counted on complemented neighbor masks without building that graph."""
-    full = (1 << g.vertex_count) - 1
-    non_neighbors = [full & ~adj & ~(1 << v) for v, adj in enumerate(g._adj_masks)]
-    return _count_cliques_within(non_neighbors, full)
+    return _count_cliques_within(_non_neighbor_masks(g), (1 << g.vertex_count) - 1)
 
 
-def enumerate_cliques(g: Graph) -> list:
-    """All cliques as frozensets, sorted by size then by sorted member list.
+def _cliques(adj_masks) -> list:
+    """Every clique of the graph with neighbor masks ``adj_masks``, as
+    ascending member tuples sorted by size, then members.
 
-    The same tree of cliques as count_cliques, walked recursively, so the
-    cost is proportional to the number of cliques.
+    The same tree of cliques as _count_cliques_within, with each node's
+    members kept, so the cost is proportional to the number of cliques;
+    nodes wait on an explicit stack.
     """
-    masks = g._adj_masks
     found = []
-
-    def extend(members: tuple, candidates: int):
+    stack = [((), (1 << len(adj_masks)) - 1)]
+    while stack:
+        members, candidates = stack.pop()
         found.append(members)
-        rest = candidates
-        while rest:
-            low = rest & -rest
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
             v = low.bit_length() - 1
-            rest ^= low
-            extend(members + (v,), rest & masks[v])
-
-    extend((), (1 << g.vertex_count) - 1)
+            stack.append((members + (v,), candidates & adj_masks[v]))
     found.sort(key=lambda members: (len(members), members))
-    return [frozenset(members) for members in found]
+    return found
 
 
 @dataclass(frozen=True)
@@ -222,21 +208,20 @@ def _subset_counts(g: Graph):
 
     ``partitions`` counts the cliques X within S whose rest S - X is a
     coclique; ``covers`` counts the pairs (X, Y), X a clique and Y a
-    coclique, with X | Y = S, so Y is the rest plus a submask of X.  Both
-    come from one walk over the submasks X of S, and nothing is listed.
+    coclique, with X | Y = S.  A clique and a coclique share at most one
+    vertex, so Y is the rest of a partition, alone or plus one vertex of X
+    with no neighbor in the rest: each partition gives 1 plus that many
+    covers.  Both counts come from one walk over the submasks X of S, and
+    nothing is listed.
     """
     adj = g._adj_masks
     for smask in range(1 << g.vertex_count):
         partitions = covers = 0
         for x in _submasks(smask):
-            if not _is_clique_mask(adj, x):
-                continue
             rest = smask & ~x
-            if _is_coclique_mask(adj, rest):
+            if _is_clique_mask(adj, x) and _is_coclique_mask(adj, rest):
                 partitions += 1
-            for overlap in _submasks(x):
-                if _is_coclique_mask(adj, rest | overlap):
-                    covers += 1
+                covers += 1 + sum(1 for v in _bits(x) if not adj[v] & rest)
         yield smask, partitions, covers
 
 

@@ -9,6 +9,8 @@ agreement with the fast implementations is meaningful.
 from collections import deque
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from ufa import DEFAULT_CAP, FORWARD, CapExceededError, Graph, Nfa
 
 
@@ -29,6 +31,25 @@ def two_loop() -> Nfa:
 
 def path3() -> Graph:
     return Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def complete_graph(vertex_count: int) -> Graph:
+    """Every pair of distinct vertices adjacent."""
+    everyone = frozenset(range(vertex_count))
+    return Graph(vertex_count, tuple(everyone - {v} for v in range(vertex_count)))
+
+
+def complement_graph(g: Graph) -> Graph:
+    """The graph with exactly the missing edges, built from the neighbor
+    sets; an involution.  Its cliques are the cocliques of ``g``."""
+    n = g.vertex_count
+    return Graph(
+        n,
+        tuple(
+            frozenset(v for v in range(n) if v != u and v not in g.adjacency[u])
+            for u in range(n)
+        ),
+    )
 
 
 def random_nfa(rng, max_states=6, max_symbols=3, density=0.3) -> Nfa:
@@ -60,6 +81,15 @@ def random_nfa_any(rng) -> Nfa:
     initial = {q for q in range(n) if rng.random() < 0.5}
     final = {q for q in range(n) if rng.random() < 0.5}
     return Nfa(n, alphabet, transitions, initial, final)
+
+
+@st.composite
+def graphs(draw, max_vertices=7):
+    """A hypothesis strategy: a graph on up to ``max_vertices`` vertices."""
+    n = draw(st.integers(0, max_vertices))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, chosen)
 
 
 def random_graph(rng, vertex_count: int, p: float = 0.5) -> Graph:

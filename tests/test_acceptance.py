@@ -12,7 +12,6 @@ import time
 import pytest
 
 from ufa import (
-    Graph,
     all_graphs,
     backward_determinize,
     check_graph_bounds,
@@ -33,6 +32,7 @@ from ufa import (
 )
 from helpers import (
     brute_force_cliques,
+    complete_graph,
     enumerate_accepting_runs,
     is_clique,
     is_coclique,
@@ -88,7 +88,7 @@ def test_criterion_1_exhaustive_graph_bounds(pass_line):
 def test_criterion_2_complete_graph_counts_are_exact(pass_line):
     started = time.monotonic()
     for n in range(1, 17):
-        report = verify_product_bound(Graph.complete(n))
+        report = verify_product_bound(complete_graph(n))
         assert report.cliques == 2**n
         assert report.cocliques == n + 1
         assert report.product == (n + 1) * 2**n == report.bound

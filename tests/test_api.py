@@ -28,12 +28,10 @@ PUBLIC_NAMES = [
     "backward_determinize",
     "check_graph_bounds",
     "complement_construction",
-    "complement_graph",
     "complement_ufa",
     "count_accepting_runs",
     "count_cliques",
     "count_cocliques",
-    "enumerate_cliques",
     "extract_graph",
     "extremal_split_graph",
     "forward_determinize",

@@ -539,6 +539,20 @@ class TestBoundReport:
                 backward_determinize(nfa).state_count,
             )
 
+    def test_a_forward_cap_hit_starts_no_backward_construction(self, monkeypatch):
+        def backward_not_expected(nfa, cap):
+            raise AssertionError("the backward construction was started")
+
+        monkeypatch.setattr("ufa.automata.backward_determinize", backward_not_expected)
+        # witness_ufa(2) has k=3 forward subsets.
+        with pytest.raises(CapExceededError) as info:
+            measure_constructions(witness_ufa(2), cap=2)
+        assert (info.value.direction, info.value.cap, info.value.partial_count) == (FORWARD, 2, 2)
+        assert str(info.value) == (
+            "state limit exceeded: forward determinization stopped after "
+            "discovering 2 subsets (cap 2)"
+        )
+
 
 class TestEquivalent:
     def test_reflexive(self):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from ufa import (
     AmbiguousAutomatonError,
@@ -25,6 +26,10 @@ from ufa import (
 from ufa.bridge import _label, _measure_witness, _witness_sizes, graph_to_ufa
 from helpers import (
     a_plus,
+    brute_force_cliques,
+    complement_graph,
+    complete_graph,
+    graphs,
     is_clique,
     is_coclique,
     random_nfa,
@@ -58,7 +63,7 @@ class TestExtractGraph:
         assert g.edges() == []
 
     def test_recovers_the_edge_of_k2(self):
-        g = extract_graph(graph_to_ufa(Graph.complete(2)))
+        g = extract_graph(graph_to_ufa(complete_graph(2)))
         assert g.edges() == [(0, 1)]
 
     def test_zero_state_automaton(self):
@@ -87,7 +92,7 @@ class TestExtractGraph:
 
 class TestGraphToUfa:
     def test_k2_shape_and_construction_sizes(self):
-        automaton = graph_to_ufa(Graph.complete(2))
+        automaton = graph_to_ufa(complete_graph(2))
         assert automaton.state_count == 2
         assert len(automaton.alphabet) == 7
         assert automaton.initial == automaton.final == {0}
@@ -132,6 +137,17 @@ class TestGraphToUfa:
             "i{0,2}",
         )
 
+    @given(graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_alphabet_is_both_enumerations_in_order(self, g):
+        def letters(kind, sets):
+            return [_label(kind, members) for members in sets]
+
+        assert graph_to_ufa(g).alphabet == tuple(
+            letters("c", brute_force_cliques(g))
+            + letters("i", brute_force_cliques(complement_graph(g)))
+        )
+
     def test_exhaustive_small_graphs_satisfy_the_size_guarantees(self):
         for n in range(6):
             for g in all_graphs(n):
@@ -141,7 +157,7 @@ class TestGraphToUfa:
                 assert backward_determinize(automaton).state_count >= count_cocliques(g)
 
     def test_transitions_route_through_vertex_zero(self):
-        automaton = graph_to_ufa(Graph.complete(3))
+        automaton = graph_to_ufa(complete_graph(3))
         for src, label, dst in automaton.transitions:
             if label.startswith("c"):
                 assert src == 0

@@ -25,7 +25,7 @@ from ufa import (
 )
 from ufa.bridge import graph_to_ufa, witness_ufa
 from ufa.cli import EXIT_CAP, EXIT_OK, EXIT_PRECONDITION, EXIT_VIOLATION
-from helpers import language, run_cli
+from helpers import complete_graph, language, run_cli
 
 A_PLUS = "nfa 2\nalphabet a\ninitial 0\nfinal 1\ntrans 0 a 1\ntrans 1 a 1\n"
 A_STAR = "nfa 1\nalphabet a\ninitial 0\nfinal 0\ntrans 0 a 0\n"
@@ -214,7 +214,7 @@ class TestGraphCommands:
         )
         assert code == EXIT_OK
         assert out == "n=2 letters=7\n"
-        assert parse_automaton(out_path.read_text()) == graph_to_ufa(Graph.complete(2))
+        assert parse_automaton(out_path.read_text()) == graph_to_ufa(complete_graph(2))
 
     def test_count_cliques_line(self, tmp_path, capsys):
         path = tmp_path / "p3.graph"
@@ -350,15 +350,19 @@ with open(sys.argv[1], "w") as report:
 """
 
 
+def _child_env() -> dict:
+    """This environment, with the tested ``ufa`` first on the path."""
+    source = str(Path(ufa.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+
+
 def _run_measured(argv, tmp_path):
     """Run ``python -m ufa argv`` in a child process; returns its exit
     code, stdout, stderr and peak resident memory in MB."""
-    source = str(Path(ufa.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
     report = tmp_path / "usage.txt"
     done = subprocess.run(
         [sys.executable, "-c", _MEASURE, str(report), sys.executable, "-m", "ufa", *argv],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_child_env(), timeout=300,
     )
     code, peak = map(int, report.read_text().split())
     # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
@@ -415,6 +419,44 @@ class TestCostFollowsTheInput:
         assert peak_mb < 100
 
 
+def _run_limited(argv):
+    """Run ``python -m ufa argv`` in a child process held to 1 GB of
+    address space and 60 seconds; returns its exit code, stdout and
+    stderr."""
+    import resource
+
+    limit = 1 << 30
+    done = subprocess.run(
+        [sys.executable, "-m", "ufa", *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+class TestOversizedHeaderCounts:
+    """A declared count above sys.maxsize is malformed input: no list can
+    hold one entry per state or vertex."""
+
+    def test_automaton_state_count(self, tmp_path):
+        # 55 bytes; building the per-state rows raised OverflowError and
+        # exited 1.
+        path = tmp_path / "huge.nfa"
+        path.write_text("nfa 100000000000000000000\nalphabet a\ninitial 0\nfinal 0\n")
+        assert _run_limited(["check-unambiguous", str(path)]) == (
+            EXIT_PRECONDITION, "", f"error: line 1: state count must be at most {sys.maxsize}\n"
+        )
+
+    def test_graph_vertex_count(self, tmp_path):
+        # 28 bytes; one neighbor set per declared vertex allocated without end.
+        path = tmp_path / "huge.graph"
+        path.write_text("graph 100000000000000000000\n")
+        assert _run_limited(["count-cliques", str(path)]) == (
+            EXIT_PRECONDITION, "", f"error: line 1: vertex count must be at most {sys.maxsize}\n"
+        )
+
+
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, a_plus_file, tmp_path, capsys):
         first_path = tmp_path / "c1.nfa"
@@ -436,3 +478,10 @@ class TestUsage:
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_VIOLATION, EXIT_PRECONDITION, EXIT_CAP}) == 4
+
+    def test_import_loads_neither_fractions_nor_decimal(self):
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, ufa.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

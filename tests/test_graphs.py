@@ -3,27 +3,26 @@
 import math
 import random
 import sys
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ufa import (
     Graph,
     all_graphs,
     check_graph_bounds,
-    complement_graph,
     count_cliques,
     count_cocliques,
-    enumerate_cliques,
     extremal_split_graph,
     nearest_k,
     verify_product_bound,
 )
-from ufa.graphs import _subset_counts
+from ufa.graphs import _cliques, _subset_counts
 from helpers import (
     brute_force_cliques,
+    complement_graph,
+    complete_graph,
+    graphs,
     is_clique,
     is_coclique,
     path3,
@@ -31,14 +30,6 @@ from helpers import (
     reference_covers,
     reference_partitions,
 )
-
-
-@st.composite
-def graphs(draw, max_vertices=7):
-    n = draw(st.integers(0, max_vertices))
-    pairs = list(combinations(range(n), 2))
-    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return Graph.from_edges(n, chosen)
 
 
 class TestGraphValidation:
@@ -74,15 +65,17 @@ class TestIsClique:
         assert is_coclique(path3(), {0, 2})
 
     def test_complete_graph_full_set(self):
-        assert is_clique(Graph.complete(3), {0, 1, 2})
+        assert is_clique(complete_graph(3), {0, 1, 2})
 
 
 class TestComplementGraph:
+    """The complement oracle in helpers."""
+
     def test_complete_to_edgeless(self):
-        assert complement_graph(Graph.complete(3)).edges() == []
+        assert complement_graph(complete_graph(3)).edges() == []
 
     def test_edgeless_to_complete(self):
-        assert complement_graph(Graph(4, (frozenset(),) * 4)) == Graph.complete(4)
+        assert complement_graph(Graph(4, (frozenset(),) * 4)) == complete_graph(4)
 
     def test_path_to_single_edge(self):
         assert complement_graph(path3()).edges() == [(0, 2)]
@@ -96,8 +89,8 @@ class TestComplementGraph:
 class TestCountCliques:
     def test_complete_graphs(self):
         for n in (1, 3, 6):
-            assert count_cliques(Graph.complete(n)) == 2**n
-            assert count_cocliques(Graph.complete(n)) == n + 1
+            assert count_cliques(complete_graph(n)) == 2**n
+            assert count_cocliques(complete_graph(n)) == n + 1
 
     def test_zero_vertex_graph_counts_the_empty_clique(self):
         assert count_cliques(Graph(0, ())) == 1
@@ -121,37 +114,27 @@ class TestCountCliques:
         n = 1100
         assert n > sys.getrecursionlimit()
         assert count_cliques(Graph(n, (frozenset(),) * n)) == n + 1
-        assert count_cocliques(Graph.complete(n)) == n + 1
+        assert count_cocliques(complete_graph(n)) == n + 1
 
 
 class TestEnumerateCliques:
+    """graphs._cliques, on neighbor masks."""
+
     def test_single_vertex(self):
-        assert enumerate_cliques(Graph(1, (frozenset(),))) == [frozenset(), {0}]
+        assert _cliques(Graph(1, (frozenset(),))._adj_masks) == [(), (0,)]
 
     def test_single_edge(self):
-        assert enumerate_cliques(Graph.complete(2)) == [
-            frozenset(),
-            {0},
-            {1},
-            {0, 1},
-        ]
+        assert _cliques(complete_graph(2)._adj_masks) == [(), (0,), (1,), (0, 1)]
 
     def test_path_in_canonical_order(self):
-        assert enumerate_cliques(path3()) == [
-            frozenset(),
-            {0},
-            {1},
-            {2},
-            {0, 1},
-            {1, 2},
-        ]
+        assert _cliques(path3()._adj_masks) == [(), (0,), (1,), (2,), (0, 1), (1, 2)]
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_no_duplicates_and_length_matches_count(self, g):
-        listed = enumerate_cliques(g)
+        listed = _cliques(g._adj_masks)
         assert len(listed) == len(set(listed)) == count_cliques(g)
-        assert set(listed) == set(brute_force_cliques(g))
+        assert set(map(frozenset, listed)) == set(brute_force_cliques(g))
 
 
 class TestPartitions:
@@ -162,12 +145,12 @@ class TestPartitions:
         assert reference_partitions(path3(), frozenset()) == [frozenset()]
 
     def test_single_edge_full_set(self):
-        g = Graph.complete(2)
+        g = complete_graph(2)
         assert reference_partitions(g, {0, 1}) == [{0}, {1}, {0, 1}]
 
     def test_complete_graph_keeps_at_most_one_vertex_out(self):
         n = 4
-        g = Graph.complete(n)
+        g = complete_graph(n)
         halves = reference_partitions(g, set(range(n)))
         assert len(halves) == n + 1
         assert all(len(set(range(n)) - x) <= 1 for x in halves)
@@ -198,7 +181,7 @@ class TestCovers:
 
     def test_complete_graph_has_exactly_2n_plus_1(self):
         for n in (2, 3, 5):
-            g = Graph.complete(n)
+            g = complete_graph(n)
             assert len(reference_covers(g, set(range(n)))) == 2 * n + 1
 
     def test_pairs_cover_the_set(self):
@@ -245,7 +228,7 @@ class TestSubsetCounts:
         # 4 * 3 = 12, raised past every per-set bound on some set.
         fake = [(0, 1, 1), (1, 3, 2), (2, 2, 4), (3, 4, 9)]
         monkeypatch.setattr("ufa.graphs._subset_counts", lambda g: iter(fake))
-        assert check_graph_bounds(Graph.complete(2)) == [
+        assert check_graph_bounds(complete_graph(2)) == [
             "3 partitions of [0] exceed 2",
             "4 covering pairs of [1] exceed 3",
             "4 partitions of [0, 1] exceed 3",
@@ -256,7 +239,7 @@ class TestSubsetCounts:
 
 class TestProductBound:
     def test_complete_graph_is_tight(self):
-        report = verify_product_bound(Graph.complete(3))
+        report = verify_product_bound(complete_graph(3))
         assert report.product == report.bound == 32
         assert report.holds
 
