@@ -67,7 +67,7 @@ def graph_to_ufa(g: Graph) -> Nfa:
     by size, then members.
     """
     cliques = _cliques(g._adj_masks)
-    cocliques = _cliques(_non_neighbor_masks(g))
+    cocliques = _cliques(_non_neighbor_masks(dict(enumerate(g._adj_masks))))
     clique_letters = [_label("c", members) for members in cliques]
     coclique_letters = [_label("i", members) for members in cocliques]
     alphabet = tuple(clique_letters + coclique_letters)

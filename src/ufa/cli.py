@@ -170,11 +170,10 @@ def cmd_count_cliques(args) -> int:
     graph = parse_graph(_read_text(args.input))
     report = graphs.verify_product_bound(graph)
     holds = report.holds and report.min_holds
-    print(
-        f"n={report.n} cliques={report.cliques} cocliques={report.cocliques} "
-        f"product={report.product} bound={_digits(report.bound)} "
-        f"min_sq={report.min_count**2} holds={_yes_no(holds)}"
-    )
+    names = ("cliques", "cocliques", "product", "bound", "min_sq")
+    values = (report.cliques, report.cocliques, report.product, report.bound, report.min_count**2)
+    fields = " ".join(f"{name}={_digits(value)}" for name, value in zip(names, values))
+    print(f"n={report.n} {fields} holds={_yes_no(holds)}")
     return EXIT_OK if holds else EXIT_VIOLATION
 
 

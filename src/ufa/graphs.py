@@ -11,65 +11,6 @@ from functools import cached_property
 from itertools import combinations
 
 
-@dataclass(frozen=True)
-class Graph:
-    """An undirected simple graph given by per-vertex neighbor sets.
-
-    ``adjacency[v]`` is the neighbor set of ``v``; it must be symmetric and
-    self-loop free.  Instances are immutable and hashable.
-    """
-
-    vertex_count: int
-    adjacency: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "adjacency", tuple(frozenset(s) for s in self.adjacency)
-        )
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be nonnegative")
-        if len(self.adjacency) != self.vertex_count:
-            raise ValueError("adjacency must list one neighbor set per vertex")
-        for u, neighbors in enumerate(self.adjacency):
-            for v in neighbors:
-                if not isinstance(v, int) or v < 0 or v >= self.vertex_count:
-                    raise ValueError(f"neighbor {v!r} of {u} out of range")
-                if v == u:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if u not in self.adjacency[v]:
-                    raise ValueError(f"edge {u}-{v} is not symmetric")
-
-    @classmethod
-    def from_edges(cls, vertex_count: int, edges) -> "Graph":
-        """Build a graph from an iterable of (u, v) pairs; duplicates merge."""
-        neighbors = [set() for _ in range(vertex_count)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            for w in (u, v):
-                if not isinstance(w, int) or w < 0 or w >= vertex_count:
-                    raise ValueError(f"vertex {w!r} out of range")
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        return cls(vertex_count, tuple(frozenset(s) for s in neighbors))
-
-    def edges(self) -> list:
-        """Edge list as (u, v) pairs with u < v, in lexicographic order."""
-        return [
-            (u, v)
-            for u in range(self.vertex_count)
-            for v in sorted(self.adjacency[u])
-            if u < v
-        ]
-
-    @cached_property
-    def _adj_masks(self) -> tuple:
-        """Neighbor sets as bitmasks, for the subset-heavy routines."""
-        return tuple(
-            sum(1 << v for v in neighbors) for neighbors in self.adjacency
-        )
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -77,11 +18,64 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _is_clique_mask(adj_masks, mask: int) -> bool:
-    for v in _bits(mask):
-        if (mask & ~(1 << v)) & ~adj_masks[v]:
-            return False
-    return True
+@dataclass(frozen=True)
+class Graph:
+    """An undirected simple graph stored as neighbor bitmasks.
+
+    ``neighbor_masks`` holds one ``(vertex, mask)`` pair per vertex that has
+    an edge, by ascending vertex; bit u of the mask is set iff u is a
+    neighbor.  The vertices left out are isolated, so the size follows the
+    edges, not the vertex count.  Masks must be nonzero, in range,
+    self-loop free and symmetric.  Instances are immutable and hashable,
+    and equal when their vertex counts and edges are.
+    """
+
+    vertex_count: int
+    neighbor_masks: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "neighbor_masks", tuple(map(tuple, self.neighbor_masks)))
+        if self.vertex_count < 0:
+            raise ValueError("vertex_count must be nonnegative")
+        masks = dict(self.neighbor_masks)
+        previous = -1
+        for v, mask in self.neighbor_masks:
+            if not previous < v < self.vertex_count:
+                raise ValueError(f"vertices must be ascending, distinct and in range, got {v!r}")
+            previous = v
+            if mask <= 0 or mask >> self.vertex_count:
+                raise ValueError(f"neighbor mask of {v} is empty or out of range")
+            if mask >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            for u in _bits(mask):
+                if not masks.get(u, 0) >> v & 1:
+                    raise ValueError(f"edge {v}-{u} is not symmetric")
+
+    @classmethod
+    def from_edges(cls, vertex_count: int, edges) -> "Graph":
+        """Build a graph from an iterable of (u, v) pairs; duplicates merge."""
+        masks = {}
+        for u, v in edges:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise ValueError(f"edge {u}-{v} out of range")
+            masks[u] = masks.get(u, 0) | 1 << v
+            masks[v] = masks.get(v, 0) | 1 << u
+        return cls(vertex_count, tuple(sorted(masks.items())))
+
+    def edges(self) -> list:
+        """Edge list as (u, v) pairs with u < v, in lexicographic order."""
+        return [
+            (u, v)
+            for u, mask in self.neighbor_masks
+            for v in _bits(mask >> (u + 1) << (u + 1))
+        ]
+
+    @cached_property
+    def _adj_masks(self) -> tuple:
+        """Every vertex's neighbor mask, 0 for an isolated one: the dense
+        view that the routines exponential in the vertex count read."""
+        masks = dict(self.neighbor_masks)
+        return tuple(masks.get(v, 0) for v in range(self.vertex_count))
 
 
 def _is_coclique_mask(adj_masks, mask: int) -> bool:
@@ -101,9 +95,9 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _count_cliques_within(adj_masks, candidates: int) -> int:
-    """Cliques, the empty one included, among the vertices of the mask
-    ``candidates`` in the graph with neighbor masks ``adj_masks``.
+def _count_cliques(adj: dict) -> int:
+    """Cliques, the empty one included, of the graph on the vertices keyed
+    in ``adj`` with the neighbor masks it maps them to.
 
     Every clique is one node of a tree rooted at the empty clique: a node
     with candidate mask c has one child per vertex v of c, which adds v
@@ -114,42 +108,47 @@ def _count_cliques_within(adj_masks, candidates: int) -> int:
     candidates are counted without a visit.
     """
     count = 1
-    stack = [candidates]
+    stack = [sum(1 << v for v in adj)]
     while stack:
         candidates = stack.pop()
         count += candidates.bit_count()
         while candidates:
             low = candidates & -candidates
             candidates ^= low
-            inner = candidates & adj_masks[low.bit_length() - 1]
+            inner = candidates & adj[low.bit_length() - 1]
             if inner:
                 stack.append(inner)
     return count
 
 
 def count_cliques(g: Graph) -> int:
-    """Exact number of cliques, the empty one included."""
-    return _count_cliques_within(g._adj_masks, (1 << g.vertex_count) - 1)
+    """Exact number of cliques, the empty one included.  Only the vertices
+    with edges are walked; an isolated vertex adds its singleton alone."""
+    adj = dict(g.neighbor_masks)
+    return _count_cliques(adj) + g.vertex_count - len(adj)
 
 
-def _non_neighbor_masks(g: Graph) -> list:
-    """The complement graph's neighbor masks: each vertex's non-neighbors,
-    itself excluded.  Its cliques are the cocliques of ``g``."""
-    full = (1 << g.vertex_count) - 1
-    return [full & ~adj & ~(1 << v) for v, adj in enumerate(g._adj_masks)]
+def _non_neighbor_masks(adj: dict) -> dict:
+    """The complement graph's neighbor masks on the vertices keyed in
+    ``adj``: each one's non-neighbors among them, itself excluded.  Its
+    cliques are the cocliques of the graph ``adj`` describes."""
+    vertices = sum(1 << v for v in adj)
+    return {v: vertices & ~mask & ~(1 << v) for v, mask in adj.items()}
 
 
 def count_cocliques(g: Graph) -> int:
-    """Exact number of cocliques: the clique count of the complement,
-    counted on complemented neighbor masks without building that graph."""
-    return _count_cliques_within(_non_neighbor_masks(g), (1 << g.vertex_count) - 1)
+    """Exact number of cocliques: the clique count of the complement on the
+    vertices with edges, on complemented masks without building that
+    graph, doubled per isolated vertex, which a coclique may take or not."""
+    adj = dict(g.neighbor_masks)
+    return _count_cliques(_non_neighbor_masks(adj)) << g.vertex_count - len(adj)
 
 
 def _cliques(adj_masks) -> list:
     """Every clique of the graph with neighbor masks ``adj_masks``, as
     ascending member tuples sorted by size, then members.
 
-    The same tree of cliques as _count_cliques_within, with each node's
+    The same tree of cliques as _count_cliques, with each node's
     members kept, so the cost is proportional to the number of cliques;
     nodes wait on an explicit stack.
     """
@@ -215,11 +214,13 @@ def _subset_counts(g: Graph):
     nothing is listed.
     """
     adj = g._adj_masks
+    # The cliques of g are the cocliques of its complement.
+    non = _non_neighbor_masks(dict(enumerate(adj)))
     for smask in range(1 << g.vertex_count):
         partitions = covers = 0
         for x in _submasks(smask):
             rest = smask & ~x
-            if _is_clique_mask(adj, x) and _is_coclique_mask(adj, rest):
+            if _is_coclique_mask(non, x) and _is_coclique_mask(adj, rest):
                 partitions += 1
                 covers += 1 + sum(1 for v in _bits(x) if not adj[v] & rest)
         yield smask, partitions, covers
@@ -297,7 +298,5 @@ def extremal_split_graph(n: int) -> Graph:
     factor 2 of sqrt((n + 1) * 2**n), which makes the product bound tight
     up to that factor.  n = 0 gives the empty graph.
     """
-    if n == 0:
-        return Graph(0, ())
-    k = nearest_k(n)
+    k = nearest_k(n) if n else 0
     return Graph.from_edges(n, combinations(range(k), 2))

@@ -7,6 +7,7 @@ agreement with the fast implementations is meaningful.
 """
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -33,22 +34,30 @@ def path3() -> Graph:
     return Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
+@lru_cache(maxsize=16)
+def adjacency(g: Graph) -> tuple:
+    """Per-vertex neighbor frozensets, read off ``g.edges()`` alone; the
+    frozenset view the graph oracles test membership on.  The last 16 are
+    kept: the oracles ask for the same graph's once per vertex set."""
+    neighbors = [set() for _ in range(g.vertex_count)]
+    for u, v in g.edges():
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    return tuple(map(frozenset, neighbors))
+
+
 def complete_graph(vertex_count: int) -> Graph:
     """Every pair of distinct vertices adjacent."""
-    everyone = frozenset(range(vertex_count))
-    return Graph(vertex_count, tuple(everyone - {v} for v in range(vertex_count)))
+    return Graph.from_edges(vertex_count, combinations(range(vertex_count), 2))
 
 
 def complement_graph(g: Graph) -> Graph:
     """The graph with exactly the missing edges, built from the neighbor
     sets; an involution.  Its cliques are the cocliques of ``g``."""
-    n = g.vertex_count
-    return Graph(
-        n,
-        tuple(
-            frozenset(v for v in range(n) if v != u and v not in g.adjacency[u])
-            for u in range(n)
-        ),
+    neighbors = adjacency(g)
+    return Graph.from_edges(
+        g.vertex_count,
+        [(u, v) for u, v in combinations(range(g.vertex_count), 2) if v not in neighbors[u]],
     )
 
 
@@ -92,6 +101,18 @@ def graphs(draw, max_vertices=7):
     return Graph.from_edges(n, chosen)
 
 
+@st.composite
+def graphs_with_isolated_vertices(draw, max_vertices=9):
+    """A hypothesis strategy: a graph on up to ``max_vertices`` vertices
+    whose edges join only a drawn subset of them, so most draws leave some
+    vertices, low and high, isolated; returned with its drawn edge set."""
+    n = draw(st.integers(0, max_vertices))
+    joined = sorted(draw(st.sets(st.integers(0, n - 1)))) if n else []
+    pairs = list(combinations(joined, 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, edges), edges
+
+
 def random_graph(rng, vertex_count: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(
         vertex_count,
@@ -105,22 +126,25 @@ def random_graph(rng, vertex_count: int, p: float = 0.5) -> Graph:
 
 def brute_force_cliques(g: Graph) -> list:
     """Every vertex subset all of whose pairs are adjacent, found naively."""
+    neighbors = adjacency(g)
     cliques = []
     for size in range(g.vertex_count + 1):
         for members in combinations(range(g.vertex_count), size):
-            if all(v in g.adjacency[u] for u, v in combinations(members, 2)):
+            if all(v in neighbors[u] for u, v in combinations(members, 2)):
                 cliques.append(frozenset(members))
     return cliques
 
 
 def is_clique(g: Graph, vertices) -> bool:
     """Whether every two distinct members are adjacent, checked pair by pair."""
-    return all(v in g.adjacency[u] for u, v in combinations(sorted(vertices), 2))
+    neighbors = adjacency(g)
+    return all(v in neighbors[u] for u, v in combinations(sorted(vertices), 2))
 
 
 def is_coclique(g: Graph, vertices) -> bool:
     """Whether no two members are adjacent, checked pair by pair."""
-    return not any(v in g.adjacency[u] for u, v in combinations(sorted(vertices), 2))
+    neighbors = adjacency(g)
+    return not any(v in neighbors[u] for u, v in combinations(sorted(vertices), 2))
 
 
 def _subsets_by_size(vertices) -> list:

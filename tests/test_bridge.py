@@ -106,7 +106,7 @@ class TestGraphToUfa:
         assert backward_determinize(automaton).state_count == 3
 
     def test_single_vertex(self):
-        automaton = graph_to_ufa(Graph(1, (frozenset(),)))
+        automaton = graph_to_ufa(Graph(1, ()))
         assert automaton.state_count == 1
         for construct in (forward_determinize, backward_determinize):
             result = construct(automaton)

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -203,7 +204,7 @@ class TestGraphCommands:
         )
         assert code == EXIT_OK
         assert out == "n=2 edges=0\n"
-        assert parse_graph(out_path.read_text()) == Graph(2, (frozenset(), frozenset()))
+        assert parse_graph(out_path.read_text()) == Graph(2, ())
 
     def test_graph_to_ufa_matches_the_library(self, tmp_path, capsys):
         path = tmp_path / "k2.graph"
@@ -419,16 +420,16 @@ class TestCostFollowsTheInput:
         assert peak_mb < 100
 
 
-def _run_limited(argv):
-    """Run ``python -m ufa argv`` in a child process held to 1 GB of
-    address space and 60 seconds; returns its exit code, stdout and
-    stderr."""
+def _run_limited(argv, timeout=60, python_args=("-m", "ufa")):
+    """Run ``python -m ufa argv`` (or ``python python_args argv``) in a
+    child process held to 1 GB of address space and ``timeout`` seconds;
+    returns its exit code, stdout and stderr."""
     import resource
 
     limit = 1 << 30
     done = subprocess.run(
-        [sys.executable, "-m", "ufa", *argv],
-        capture_output=True, text=True, env=_child_env(), timeout=60,
+        [sys.executable, *python_args, *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=timeout,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     return done.returncode, done.stdout, done.stderr
@@ -455,6 +456,89 @@ class TestOversizedHeaderCounts:
         assert _run_limited(["count-cliques", str(path)]) == (
             EXIT_PRECONDITION, "", f"error: line 1: vertex count must be at most {sys.maxsize}\n"
         )
+
+
+_HUGE_EDGELESS_GRAPH = """
+from ufa import count_cliques, count_cocliques, parse_graph, serialize_graph
+
+text = "graph 100000000\\n"
+g = parse_graph(text)
+print(serialize_graph(g) == text, count_cliques(g), count_cocliques(g) == 1 << 100000000)
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+class TestIsolatedVerticesAreFactoredOut:
+    """Cost follows the edges: each isolated vertex adds one clique and
+    doubles the coclique count without being visited.  Before, the counts
+    listed every coclique and the parser built one set per vertex."""
+
+    def test_library_on_a_hundred_million_isolated_vertices(self):
+        # One set() per declared vertex ran out of the 1 GB.
+        assert _run_limited([], timeout=30, python_args=("-c", _HUGE_EDGELESS_GRAPH)) == (
+            0, "True 100000001 True\n", ""
+        )
+
+    def test_edgeless_graph_meets_the_product_bound(self, tmp_path):
+        # Listing the 2**60 cocliques one by one never ended.
+        path = tmp_path / "edgeless.graph"
+        path.write_text("graph 60\n")
+        code, out, err = _run_limited(["count-cliques", str(path)], timeout=10)
+        cocliques, bound = 1 << 60, 61 << 60
+        assert (code, out, err) == (
+            EXIT_OK,
+            f"n=60 cliques=61 cocliques={cocliques} product={61 * cocliques} "
+            f"bound={bound} min_sq={61**2} holds=yes\n",
+            "",
+        )
+        assert 61 * cocliques == bound
+
+    def test_counts_past_the_digit_limit_print_in_full(self, tmp_path):
+        # 3 * 2**19998 cocliques have 6021 digits, past the 4300 that str()
+        # converts by default; Decimal prints them on every version.
+        path = tmp_path / "one_edge.graph"
+        path.write_text("graph 20000\nedge 0 1\n")
+        code, out, err = _run_limited(["count-cliques", str(path)], timeout=10)
+        cliques, cocliques = 20002, 3 << 19998
+        assert (code, out, err) == (
+            EXIT_OK,
+            f"n=20000 cliques={cliques} cocliques={Decimal(cocliques)} "
+            f"product={Decimal(cliques * cocliques)} bound={Decimal(20001 << 20000)} "
+            f"min_sq={cliques**2} holds=yes\n",
+            "",
+        )
+
+
+_TIMED_PAIR_SEARCH = """
+import sys, time
+from ufa import is_unambiguous, parse_automaton
+
+with open(sys.argv[1]) as stream:
+    nfa = parse_automaton(stream.read())
+start = time.perf_counter()
+verdict = is_unambiguous(nfa)
+print(verdict, time.perf_counter() - start)
+"""
+
+
+def test_backward_pair_search_seeds_only_from_forward_pairs(tmp_path):
+    # A random 20,000-state, 2-letter DFA with every third state final: the
+    # backward search used to build all 6667**2 final pairs before keeping
+    # the forward-reached ones, which took 5.7 s (Python 3.11, 2 vCPUs);
+    # seeding from the forward pairs takes about 0.12 s.
+    rng = random.Random(7)
+    n = 20000
+    lines = [f"nfa {n}", "alphabet a b", "initial 0", "final " + " ".join(map(str, range(0, n, 3)))]
+    lines += [f"trans {q} {a} {rng.randrange(n)}" for q in range(n) for a in "ab"]
+    path = tmp_path / "dfa.nfa"
+    path.write_text("\n".join(lines) + "\n")
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_PAIR_SEARCH, str(path)],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    verdict, seconds = done.stdout.rsplit(" ", 1)
+    assert (done.returncode, verdict, done.stderr) == (0, "(True, None)", "")
+    assert float(seconds) < 1.0
 
 
 class TestDeterminism:

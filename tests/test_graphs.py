@@ -19,10 +19,12 @@ from ufa import (
 )
 from ufa.graphs import _cliques, _subset_counts
 from helpers import (
+    adjacency,
     brute_force_cliques,
     complement_graph,
     complete_graph,
     graphs,
+    graphs_with_isolated_vertices,
     is_clique,
     is_coclique,
     path3,
@@ -33,19 +35,63 @@ from helpers import (
 
 
 class TestGraphValidation:
+    """The constructor takes (vertex, neighbor mask) pairs for the vertices
+    with edges, by ascending vertex, and checks them with mask operations."""
+
+    def test_accepts_the_masks_from_edges_builds(self):
+        g = Graph(3, ((0, 0b010), (1, 0b101), (2, 0b010)))
+        assert g == path3()
+        assert hash(g) == hash(path3())
+        assert g.neighbor_masks == ((0, 0b010), (1, 0b101), (2, 0b010))
+
+    def test_isolated_vertices_are_left_out(self):
+        g = Graph.from_edges(5, [(1, 3)])
+        assert g.neighbor_masks == ((1, 0b01000), (3, 0b00010))
+        assert g._adj_masks == (0, 0b01000, 0, 0b00010, 0)
+        assert Graph.from_edges(4, []) == Graph(4, ())
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            Graph(1, (frozenset({0}),))
+            Graph(1, ((0, 0b1),))
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph(3, ((0, 0b011), (1, 0b001)))
         with pytest.raises(ValueError, match="self-loop"):
             Graph.from_edges(2, [(1, 1)])
 
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError, match="symmetric"):
-            Graph(2, (frozenset({1}), frozenset()))
+            Graph(2, ((0, 0b10),))
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(3, ((0, 0b110), (1, 0b001), (2, 0b010)))
+        with pytest.raises(ValueError, match="symmetric"):
+            # Vertex 2 lists 0, which does not list it back.
+            Graph(3, ((0, 0b010), (1, 0b001), (2, 0b001)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
+            Graph(2, ((0, 0b110), (1, 0b001)))
+        with pytest.raises(ValueError, match="in range, got 2"):
+            Graph(2, ((2, 0b01),))
+        with pytest.raises(ValueError, match="in range, got -1"):
+            Graph(2, ((-1, 0b01),))
+        with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(2, [(0, 2)])
+
+    def test_rejects_empty_or_negative_masks(self):
+        with pytest.raises(ValueError, match="empty"):
+            Graph(2, ((0, 0),))
+        with pytest.raises(ValueError, match="empty"):
+            Graph(2, ((0, -2), (1, 0b01)))
+
+    def test_rejects_unsorted_or_duplicate_vertices(self):
+        with pytest.raises(ValueError, match="ascending, distinct"):
+            Graph(2, ((1, 0b01), (0, 0b10)))
+        with pytest.raises(ValueError, match="ascending, distinct"):
+            Graph(2, ((0, 0b10), (0, 0b10), (1, 0b01)))
+
+    def test_rejects_a_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Graph(-1, ())
 
     def test_edges_are_sorted_with_u_below_v(self):
         g = Graph.from_edges(3, [(2, 1), (1, 0)])
@@ -75,7 +121,7 @@ class TestComplementGraph:
         assert complement_graph(complete_graph(3)).edges() == []
 
     def test_edgeless_to_complete(self):
-        assert complement_graph(Graph(4, (frozenset(),) * 4)) == complete_graph(4)
+        assert complement_graph(Graph(4, ())) == complete_graph(4)
 
     def test_path_to_single_edge(self):
         assert complement_graph(path3()).edges() == [(0, 2)]
@@ -110,10 +156,20 @@ class TestCountCliques:
     def test_cocliques_count_cliques_of_the_complement(self, g):
         assert count_cocliques(g) == len(brute_force_cliques(complement_graph(g)))
 
+    @given(graphs_with_isolated_vertices())
+    @settings(max_examples=150, deadline=None)
+    def test_graphs_with_isolated_vertices_match_the_oracles(self, drawn):
+        g, edges = drawn
+        assert g.edges() == sorted(edges)
+        neighbors = adjacency(g)
+        assert g._adj_masks == tuple(sum(1 << v for v in vs) for vs in neighbors)
+        assert count_cliques(g) == len(brute_force_cliques(g))
+        assert count_cocliques(g) == len(brute_force_cliques(complement_graph(g)))
+
     def test_vertex_count_beyond_the_recursion_limit(self):
         n = 1100
         assert n > sys.getrecursionlimit()
-        assert count_cliques(Graph(n, (frozenset(),) * n)) == n + 1
+        assert count_cliques(Graph(n, ())) == n + 1
         assert count_cocliques(complete_graph(n)) == n + 1
 
 
@@ -121,7 +177,7 @@ class TestEnumerateCliques:
     """graphs._cliques, on neighbor masks."""
 
     def test_single_vertex(self):
-        assert _cliques(Graph(1, (frozenset(),))._adj_masks) == [(), (0,)]
+        assert _cliques(Graph(1, ())._adj_masks) == [(), (0,)]
 
     def test_single_edge(self):
         assert _cliques(complete_graph(2)._adj_masks) == [(), (0,), (1,), (0, 1)]
@@ -172,7 +228,7 @@ class TestCovers:
         assert reference_covers(path3(), frozenset()) == [(frozenset(), frozenset())]
 
     def test_isolated_vertex(self):
-        g = Graph(1, (frozenset(),))
+        g = Graph(1, ())
         assert reference_covers(g, {0}) == [
             (frozenset(), {0}),
             ({0}, frozenset()),
