@@ -171,22 +171,20 @@ def _pair_search(nfa: Nfa, backward: bool = False, allowed=None):
     the pairs of its successors; backward, the seeds are the pairs of final
     states and a pair steps to the pairs of its predecessors.  A pair
     (p, q) is coded as the int ``p * n + q``.  When ``allowed`` is given,
-    only pairs in it are visited, and when it is the smaller, the seed
-    pairs are read off it, sorted, which is the nested loop's order.
-    Returns the discovery order and a parent map ``code -> (parent code,
-    symbol)`` (seeds map to None).  Deterministic: seeds, alphabet, and
-    successor tuples are all explicitly ordered.
+    only pairs in it are visited and the seeds are read off it, sorted,
+    which is the nested loop's order.  Returns the discovery order and a
+    parent map ``code -> (parent code, symbol)`` (seeds map to None).
+    Deterministic: seeds, alphabet and successor tuples are all ordered.
     """
     n = nfa.state_count
     seeds = nfa.final if backward else nfa.initial
     rows_by_symbol = nfa._pred if backward else nfa._succ
     columns = [(a, rows_by_symbol[a]) for a in nfa.alphabet]
-    if allowed is not None and len(allowed) < len(seeds) ** 2:
-        codes = sorted(code for code in allowed if code // n in seeds and code % n in seeds)
-    else:
+    if allowed is None:
         ordered = sorted(seeds)
         codes = (p * n + q for p in ordered for q in ordered)
-        codes = codes if allowed is None else filter(allowed.__contains__, codes)
+    else:
+        codes = sorted(code for code in allowed if code // n in seeds and code % n in seeds)
     parent = dict.fromkeys(codes)
     # Iterating a list visits what is appended during the loop, which makes
     # the discovery order the breadth-first queue.

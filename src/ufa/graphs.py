@@ -24,10 +24,10 @@ class Graph:
 
     ``neighbor_masks`` holds one ``(vertex, mask)`` pair per vertex that has
     an edge, by ascending vertex; bit u of the mask is set iff u is a
-    neighbor.  The vertices left out are isolated, so the size follows the
-    edges, not the vertex count.  Masks must be nonzero, in range,
-    self-loop free and symmetric.  Instances are immutable and hashable,
-    and equal when their vertex counts and edges are.
+    neighbor.  Isolated vertices are left out, but each mask is as wide as
+    its highest neighbor.  Vertices and masks are ints; masks are nonzero,
+    in range, self-loop free and symmetric.  Instances are immutable and
+    hashable, and equal when their vertex counts and edges are.
     """
 
     vertex_count: int
@@ -37,16 +37,17 @@ class Graph:
         object.__setattr__(self, "neighbor_masks", tuple(map(tuple, self.neighbor_masks)))
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        masks = dict(self.neighbor_masks)
         previous = -1
         for v, mask in self.neighbor_masks:
-            if not previous < v < self.vertex_count:
+            if not (isinstance(v, int) and previous < v < self.vertex_count):
                 raise ValueError(f"vertices must be ascending, distinct and in range, got {v!r}")
             previous = v
-            if mask <= 0 or mask >> self.vertex_count:
-                raise ValueError(f"neighbor mask of {v} is empty or out of range")
+            if not isinstance(mask, int) or mask <= 0 or mask >> self.vertex_count:
+                raise ValueError(f"neighbor mask of {v} is empty or out of range, got {mask!r}")
             if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
+        masks = dict(self.neighbor_masks)
+        for v, mask in self.neighbor_masks:
             for u in _bits(mask):
                 if not masks.get(u, 0) >> v & 1:
                     raise ValueError(f"edge {v}-{u} is not symmetric")
@@ -56,7 +57,8 @@ class Graph:
         """Build a graph from an iterable of (u, v) pairs; duplicates merge."""
         masks = {}
         for u, v in edges:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            if not (isinstance(u, int) and isinstance(v, int)
+                    and 0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge {u}-{v} out of range")
             masks[u] = masks.get(u, 0) | 1 << v
             masks[v] = masks.get(v, 0) | 1 << u

@@ -469,8 +469,8 @@ print(serialize_graph(g) == text, count_cliques(g), count_cocliques(g) == 1 << 1
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
 class TestIsolatedVerticesAreFactoredOut:
-    """Cost follows the edges: each isolated vertex adds one clique and
-    doubles the coclique count without being visited.  Before, the counts
+    """Isolated vertices are never visited: each one adds one clique and
+    doubles the coclique count.  Before, the counts
     listed every coclique and the parser built one set per vertex."""
 
     def test_library_on_a_hundred_million_isolated_vertices(self):
@@ -515,9 +515,12 @@ from ufa import is_unambiguous, parse_automaton
 
 with open(sys.argv[1]) as stream:
     nfa = parse_automaton(stream.read())
-start = time.perf_counter()
-verdict = is_unambiguous(nfa)
-print(verdict, time.perf_counter() - start)
+best = float("inf")
+for _ in range(3):
+    start = time.perf_counter()
+    verdict = is_unambiguous(nfa)
+    best = min(best, time.perf_counter() - start)
+print(verdict, best)
 """
 
 
@@ -525,7 +528,8 @@ def test_backward_pair_search_seeds_only_from_forward_pairs(tmp_path):
     # A random 20,000-state, 2-letter DFA with every third state final: the
     # backward search used to build all 6667**2 final pairs before keeping
     # the forward-reached ones, which took 5.7 s (Python 3.11, 2 vCPUs);
-    # seeding from the forward pairs takes about 0.12 s.
+    # seeding from the forward pairs takes about 0.12 s.  The best of three
+    # timed calls is held to 1 s, so one slow run on a loaded machine passes.
     rng = random.Random(7)
     n = 20000
     lines = [f"nfa {n}", "alphabet a b", "initial 0", "final " + " ".join(map(str, range(0, n, 3)))]

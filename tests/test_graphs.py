@@ -83,6 +83,16 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="empty"):
             Graph(2, ((0, -2), (1, 0b01)))
 
+    def test_rejects_non_int_vertices_and_masks(self):
+        with pytest.raises(ValueError, match="in range, got 1.0"):
+            Graph(3, ((0, 0b010), (1.0, 0b001)))
+        with pytest.raises(ValueError, match="out of range, got 2.0"):
+            Graph(2, ((0, 2.0), (1, 0b01)))
+        with pytest.raises(ValueError, match="out of range, got 1.0"):
+            Graph(2, ((0, 0b10), (1, 1.0)))
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_edges(2, [(0, 1.0)])
+
     def test_rejects_unsorted_or_duplicate_vertices(self):
         with pytest.raises(ValueError, match="ascending, distinct"):
             Graph(2, ((1, 0b01), (0, 0b10)))
