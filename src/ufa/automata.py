@@ -16,16 +16,21 @@ from the initial states and then backward from the final states over only
 the pairs the forward search reached: on a DFA at most n pairs, not n**2.
 Transition rows are built only for states that have transitions.
 
-complement_construction picks the side a complement is built from.
-complement_ufa turns it into an Nfa; the ``complement`` and ``determinize``
-commands instead write the construction with
-formats.write_subset_automaton, straight from its transition table in
-time linear in the table's cells.
+complement_construction picks the side a complement is built from.  Only
+that side keeps a transition table: the backward construction stops
+keeping rows once it has as many subsets as the forward one, since it can
+no longer be chosen, and measure_constructions keeps no rows at all.  A
+side without rows still discovers every subset, so its size and its cap
+outcome are those of the full construction.  complement_ufa turns the
+chosen side into an Nfa; the ``complement`` and ``determinize`` commands
+instead write the construction with formats.write_subset_automaton,
+straight from its transition table in time linear in the table's cells.
 """
 
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count, repeat
 
 Word = tuple[str, ...]
 
@@ -272,7 +277,8 @@ class SubsetAutomaton:
     automaton the edge runs from the image back to ``i``.  ``marked`` holds
     the states whose subset meets base.final (forward) or base.initial
     (backward).  Only _determinize builds instances, so the fields are not
-    re-validated.
+    re-validated; where only a side's size is wanted it builds none and
+    returns the size alone.
     """
 
     base: Nfa
@@ -326,13 +332,23 @@ def _mask(states) -> int:
     return sum(1 << q for q in states)
 
 
-def _determinize(nfa: Nfa, direction: str, cap: int) -> SubsetAutomaton:
+def _determinize(nfa: Nfa, direction: str, cap: int, rows_until=None):
+    """The subset construction in ``direction``, as a SubsetAutomaton.
+
+    Once ``rows_until`` subsets are known (never, when it is None), rows
+    are no longer needed: the rest of the subsets are only discovered, the
+    table and ``marked`` are dropped, and the return value is just the
+    number of subsets.
+    """
     if cap < 1:
         raise ValueError("cap must be positive")
     if direction == FORWARD:
         rows_by_symbol, seed, mark_against = nfa._succ, nfa.initial, nfa.final
     else:
         rows_by_symbol, seed, mark_against = nfa._pred, nfa.final, nfa.initial
+    if rows_until is None:
+        # No construction gets past cap subsets.
+        rows_until = cap + 1
     width = (nfa.state_count + 7) // 8 or 1
     # packed[q] holds q's one-letter image under alphabet[j] in bytes
     # [j * width, (j + 1) * width).  These rows take n * |alphabet| * width
@@ -348,15 +364,20 @@ def _determinize(nfa: Nfa, direction: str, cap: int) -> SubsetAutomaton:
     # parts[32 * shift + byte], for shift a multiple of 8: the OR of
     # packed[shift + i] over the bits i of byte, filled in on first use.
     parts = [None] * (256 * width)
-    masks = [_mask(seed)]
-    # Subsets are looked up by their width-byte little-endian encoding,
-    # the form in which an unpacked image yields them.
-    index = {masks[0].to_bytes(width, "little"): 0}
+    # Subsets are kept, and looked up, in their width-byte little-endian
+    # encoding, the form in which an unpacked image yields them.
+    subsets = [_mask(seed).to_bytes(width, "little")]
+    index = {subsets[0]: 0}
     lookup = index.get
     table = []
     # Iterating a list visits what is appended during the loop, which makes
     # this the breadth-first worklist.
-    for mask in masks:
+    for subset in subsets:
+        if table is not None and len(subsets) >= rows_until:
+            # Only the count is wanted from here on: a set of the known
+            # subsets replaces the index, and no row is kept.
+            index, lookup, table = set(index), None, None
+        mask = int.from_bytes(subset, "little")
         image = 0
         # One step per nonzero byte of the mask, lowest first.
         while mask:
@@ -373,24 +394,35 @@ def _determinize(nfa: Nfa, direction: str, cap: int) -> SubsetAutomaton:
                 parts[shift << 5 | byte] = part
             image |= part
         images = fields.unpack(image.to_bytes(fields.size, "little"))
+        if table is None:
+            # New subsets are registered in set order, which no caller sees.
+            for new in set(images).difference(index):
+                if len(subsets) >= cap:
+                    raise CapExceededError(direction, cap, len(subsets))
+                index.add(new)
+                subsets.append(new)
+            continue
         row = tuple(map(lookup, images))
         if None in row:
             row = list(row)
             for j, target in enumerate(row):
                 if target is None:
-                    subset = images[j]
-                    target = lookup(subset)
+                    new = images[j]
+                    target = lookup(new)
                     if target is None:
-                        if len(masks) >= cap:
-                            raise CapExceededError(direction, cap, len(masks))
-                        target = index[subset] = len(masks)
-                        masks.append(int.from_bytes(subset, "little"))
+                        if len(subsets) >= cap:
+                            raise CapExceededError(direction, cap, len(subsets))
+                        target = index[new] = len(subsets)
+                        subsets.append(new)
                     row[j] = target
             row = tuple(row)
         table.append(row)
+    if table is None:
+        return len(subsets)
+    masks = tuple(map(int.from_bytes, subsets, repeat("little")))
     against = _mask(mark_against)
-    marked = frozenset(i for i, mask in enumerate(masks) if mask & against)
-    return SubsetAutomaton(nfa, direction, tuple(masks), tuple(table), marked)
+    marked = frozenset(compress(count(), map(against.__and__, masks)))
+    return SubsetAutomaton(nfa, direction, masks, tuple(table), marked)
 
 
 def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:
@@ -412,23 +444,37 @@ def backward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:
     return _determinize(nfa, BACKWARD, cap)
 
 
+def _caught(construct, *args):
+    """``construct(*args)``, or the CapExceededError it raised."""
+    try:
+        return construct(*args)
+    except CapExceededError as exc:
+        # The traceback would keep the abandoned construction's frames, up
+        # to ``cap`` subsets, alive while the other side runs.
+        return exc.with_traceback(None)
+
+
 def _both_constructions(nfa: Nfa, cap: int) -> tuple:
     """Run the forward and then the backward construction.
 
     Returns (forward, backward), each the SubsetAutomaton or the
-    CapExceededError that side raised.  The two constructions are looked
-    up when called, not bound once, so wrappers installed on this module's
-    functions see every call.
+    CapExceededError that side raised, except that a backward side with at
+    least k subsets, the forward size, is just its size, an int: ties keep
+    forward, so it cannot be chosen, and it keeps no rows from k subsets
+    on.  forward_determinize is looked up when called, not bound once, so
+    a wrapper installed on it sees the forward side; the backward side
+    runs _determinize directly.
     """
-    sides = []
-    for construct in (forward_determinize, backward_determinize):
-        try:
-            sides.append(construct(nfa, cap))
-        except CapExceededError as exc:
-            # The traceback would keep the abandoned construction's frames,
-            # up to ``cap`` subsets, alive while the other side runs.
-            sides.append(exc.with_traceback(None))
-    return tuple(sides)
+    forward = _caught(forward_determinize, nfa, cap)
+    rows_until = None if isinstance(forward, CapExceededError) else forward.state_count
+    return forward, _caught(_determinize, nfa, BACKWARD, cap, rows_until)
+
+
+def _size(side):
+    """A _both_constructions side's state count, None for a cap hit."""
+    if isinstance(side, CapExceededError):
+        return None
+    return side if isinstance(side, int) else side.state_count
 
 
 @dataclass(frozen=True)
@@ -482,13 +528,13 @@ class BoundReport:
 def measure_constructions(nfa: Nfa, cap: int = DEFAULT_CAP) -> BoundReport:
     """Run both constructions on ``nfa`` and report both sizes.
 
-    A side that exceeds ``cap`` raises its CapExceededError, with its
-    partial count; the forward side runs first, so its error stops the
-    backward side from starting.
+    Neither side keeps a transition table.  A side that exceeds ``cap``
+    raises its CapExceededError, with its partial count; the forward side
+    runs first, so its error stops the backward side from starting.
     """
-    forward = forward_determinize(nfa, cap)
-    backward = backward_determinize(nfa, cap)
-    return BoundReport(nfa.state_count, forward.state_count, backward.state_count)
+    k = _determinize(nfa, FORWARD, cap, 0)
+    l = _determinize(nfa, BACKWARD, cap, 0)
+    return BoundReport(nfa.state_count, k, l)
 
 
 def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
@@ -496,9 +542,9 @@ def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
     unambiguous automaton.
 
     Runs both subset constructions and keeps the smaller (ties keep
-    forward); it has min(k, l) states, which for unambiguous input never
-    exceeds sqrt(n + 1) * 2**(n / 2).  Returns (SubsetAutomaton,
-    BoundReport).
+    forward), the only one built with a transition table; it has min(k, l)
+    states, which for unambiguous input never exceeds
+    sqrt(n + 1) * 2**(n / 2).  Returns (SubsetAutomaton, BoundReport).
 
     Raises AmbiguousAutomatonError (carrying a witness word) when the input
     is ambiguous.  A side that exceeds ``cap`` is dropped from the choice
@@ -509,8 +555,7 @@ def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
     if not ok:
         raise AmbiguousAutomatonError(witness)
     forward, backward = _both_constructions(nfa, cap)
-    k = None if isinstance(forward, CapExceededError) else forward.state_count
-    l = None if isinstance(backward, CapExceededError) else backward.state_count
+    k, l = _size(forward), _size(backward)
     if k is None and l is None:
         raise CapExceededError("both", cap, cap)
     report = BoundReport(nfa.state_count, k, l)

@@ -30,8 +30,9 @@ of one source), so the memory it needs follows the table, not the text.
 
 import sys
 from array import array
-from itertools import chain, repeat
-from operator import floordiv, mod
+from bisect import bisect_left
+from itertools import chain, compress, count, islice, repeat
+from operator import sub
 
 from .automata import FORWARD, Nfa, SubsetAutomaton
 from .graphs import Graph
@@ -169,6 +170,11 @@ def serialize_automaton(nfa: Nfa) -> str:
 # table's cells (845,952 of 1,220,736 in the backward construction of
 # witness_ufa(16)), so a piece per source would not be bounded.
 _SLICE = 1 << 15
+# About the most cells in one backward bucket array.  One array per source
+# would need one block of 3.4 MB for that source, which the memory a freed
+# construction leaves behind, in blocks the size of its rows, may not hold;
+# the process then grows by the whole block.
+_CHUNK = 1 << 12
 
 
 def _subset_automaton_pieces(construction: SubsetAutomaton, complement: bool):
@@ -180,43 +186,67 @@ def _subset_automaton_pieces(construction: SubsetAutomaton, complement: bool):
     from i to ``transition_table[i][j]``, so each row is one piece, already
     in canonical order.  Backward, it is the edge from
     ``transition_table[i][j]`` to i; one bucket pass over the cells, column
-    by column, puts them in order of source, then column, then target, and
-    each source's cells are written in slices of at most _SLICE.  Every
-    line is joined from shared per-state and per-symbol strings, so the
-    time is linear in the cells.  State 0, the seed subset, is the initial
-    state forward and the final state backward.
+    by column, puts them in order of source, then column, then target, in
+    arrays of about _CHUNK cells.  Each source's cells are written in
+    slices of at most _SLICE lines, and within a slice each column's run,
+    found by bisection, is one join of its targets' strings on the
+    ``trans <source> <symbol> `` prefix.  So the time is linear in the
+    cells.  State 0, the seed subset, is the initial state forward and the
+    final state backward.
     """
     table = construction.transition_table
     alphabet = construction.base.alphabet
     size, width = construction.state_count, len(alphabet)
     seed = (0,)
     accepting = construction.unmarked if complement else construction.marked
-    symbols = [f"{symbol} " for symbol in alphabet]
     targets = [f"{q}\n" for q in range(size)]
     if construction.direction == FORWARD:
         yield _automaton_header(size, alphabet, seed, accepting)
         parts = [None] * (3 * width)
-        parts[1::3] = symbols
+        parts[1::3] = [f"{symbol} " for symbol in alphabet]
         for source, row in enumerate(table):
             parts[0::3] = repeat(f"trans {source} ", width)
             parts[2::3] = map(targets.__getitem__, row)
             yield "".join(parts)
         return
     yield _automaton_header(size, alphabet, accepting, seed)
-    # Cells numbered column-major, j * size + i, 4 bytes each, in one
-    # bucket per source.
+    # Cells numbered column-major, j * size + i, 4 bytes each, in arrays of
+    # about _CHUNK cells per source; each array, and a source's arrays in
+    # turn, go up by column, then target.
     buckets = [array("I") for _ in range(size)]
     appends = [bucket.append for bucket in buckets]
-    for cell, source in enumerate(chain.from_iterable(zip(*table))):
-        appends[source](cell)
-    for source, cells in enumerate(buckets):
-        prefix = f"trans {source} "
-        for start in range(0, len(cells), _SLICE):
-            piece = cells[start:start + _SLICE]
-            parts = [prefix] * (3 * len(piece))
-            parts[1::3] = map(symbols.__getitem__, map(floordiv, piece, repeat(size)))
-            parts[2::3] = map(targets.__getitem__, map(mod, piece, repeat(size)))
-            yield "".join(parts)
+    filled = {}
+    # Blocks of columns in which no bucket grows by more than max(_CHUNK, size).
+    block = max(1, _CHUNK // size)
+    columns = zip(*table)
+    for first in range(0, width, block):
+        for cell, source in enumerate(chain.from_iterable(islice(columns, block)), first * size):
+            appends[source](cell)
+        for source in compress(count(), map(_CHUNK.__le__, map(len, buckets))):
+            filled.setdefault(source, []).append(buckets[source])
+            buckets[source] = bucket = array("I")
+            appends[source] = bucket.append
+    for source, bucket in enumerate(buckets):
+        piece, lines = [], 0
+        for cells in chain(filled.get(source, ()), (bucket,)):
+            start = 0
+            while start < len(cells):
+                # One join for a run of cells in one column, up to the end
+                # of the piece.
+                column = cells[start] // size
+                base = column * size
+                stop = min(len(cells), start + _SLICE - lines)
+                end = bisect_left(cells, base + size, start, stop)
+                prefix = f"trans {source} {alphabet[column]} "
+                run = map(targets.__getitem__, map(sub, cells[start:end], repeat(base)))
+                piece.append(prefix + prefix.join(run))
+                lines += end - start
+                start = end
+                if lines == _SLICE:
+                    yield "".join(piece)
+                    piece, lines = [], 0
+        if piece:
+            yield "".join(piece)
 
 
 def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bool = False) -> None:

@@ -61,6 +61,18 @@ def complement_graph(g: Graph) -> Graph:
     )
 
 
+def nth_letter_dfa(n: int) -> Nfa:
+    """The n-state DFA over {a, b} for "letter n-1 is a", n >= 2.
+
+    States 0..n-2 count the letters read and n-1 is an accepting sink;
+    state n-2 has no b edge.  Forward it has n + 1 subsets (the empty one
+    included), backward 2**(n-1).
+    """
+    transitions = {(q, a, q + 1) for q in range(n - 2) for a in "ab"}
+    transitions |= {(n - 2, "a", n - 1), (n - 1, "a", n - 1), (n - 1, "b", n - 1)}
+    return Nfa(n, ("a", "b"), transitions, {0}, {n - 1})
+
+
 def random_nfa(rng, max_states=6, max_symbols=3, density=0.3) -> Nfa:
     """A random automaton in the small regime the end-to-end checks use."""
     n = rng.randint(1, max_states)

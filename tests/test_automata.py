@@ -1,11 +1,13 @@
 """Unit tests for the automata operations."""
 
 import random
+from operator import attrgetter
 
 import pytest
 
 from ufa import (
     BACKWARD,
+    DEFAULT_CAP,
     FORWARD,
     AmbiguousAutomatonError,
     BoundReport,
@@ -19,6 +21,7 @@ from ufa import (
     is_unambiguous,
     measure_constructions,
 )
+from ufa import automata
 from ufa.automata import _both_constructions, _pair_search, _unambiguity
 from ufa.bridge import witness_ufa
 from helpers import (
@@ -27,6 +30,7 @@ from helpers import (
     enumerate_accepting_runs,
     equivalent,
     language,
+    nth_letter_dfa,
     random_nfa,
     random_nfa_any,
     reference_determinize,
@@ -393,6 +397,123 @@ class TestEngineMatchesReference:
                     assert (engine[0] == "cap") == (cap < full)
 
 
+def _rows_free(nfa, direction, cap):
+    return automata._determinize(nfa, direction, cap, 0)
+
+
+def _reference_size(nfa, direction, cap):
+    return len(reference_determinize(nfa, direction, cap)[0])
+
+
+def _size_outcome(build, *args):
+    """``build(*args)``, or its cap error's fields and message."""
+    try:
+        return build(*args)
+    except CapExceededError as exc:
+        return "cap", exc.direction, exc.cap, exc.partial_count, str(exc)
+
+
+def _size_cases(max_witness=10, max_nth=10):
+    rng = random.Random(59)
+    cases = [random_nfa(rng, max_states=5) for _ in range(60)]
+    cases += [witness_ufa(n) for n in range(max_witness + 1)]
+    return cases + [nth_letter_dfa(n) for n in range(2, max_nth + 1)]
+
+
+class TestRowsFreeConstruction:
+    """_determinize past its rows_until count keeps no rows and returns
+    just the number of subsets, with the full construction's cap outcomes."""
+
+    def test_sizes_match_the_reference(self):
+        for nfa in _size_cases():
+            for direction in (FORWARD, BACKWARD):
+                assert _rows_free(nfa, direction, DEFAULT_CAP) == _reference_size(
+                    nfa, direction, DEFAULT_CAP
+                )
+
+    def test_nth_letter_sizes(self):
+        for n in range(2, 11):
+            report = measure_constructions(nth_letter_dfa(n))
+            assert (report.k, report.l) == (n + 1, 1 << (n - 1))
+
+    def test_every_cap_gives_the_reference_outcome(self):
+        for nfa in _size_cases(max_witness=7, max_nth=8):
+            for direction in (FORWARD, BACKWARD):
+                full = _reference_size(nfa, direction, DEFAULT_CAP)
+                for cap in range(1, full + 2):
+                    outcome = _size_outcome(_rows_free, nfa, direction, cap)
+                    assert outcome == _size_outcome(_reference_size, nfa, direction, cap)
+                    assert (outcome == full) == (cap >= full)
+
+    def test_measure_constructions_fails_as_the_full_constructions_do(self):
+        def full_report(nfa, cap):
+            k = forward_determinize(nfa, cap).state_count
+            return BoundReport(nfa.state_count, k, backward_determinize(nfa, cap).state_count)
+
+        for nfa in _size_cases(max_witness=6, max_nth=7):
+            report = measure_constructions(nfa)
+            for cap in range(1, max(report.k, report.l) + 2):
+                assert _size_outcome(measure_constructions, nfa, cap) == _size_outcome(
+                    full_report, nfa, cap
+                )
+
+    def test_rows_are_kept_only_below_rows_until(self):
+        for nfa in _size_cases(max_witness=5, max_nth=6):
+            for direction in (FORWARD, BACKWARD):
+                states, table, _, marked = reference_determinize(nfa, direction, DEFAULT_CAP)
+                for rows_until in range(len(states) + 2):
+                    result = automata._determinize(nfa, direction, DEFAULT_CAP, rows_until)
+                    if rows_until <= len(states):
+                        assert result == len(states)
+                    else:
+                        assert subsets(result) == states
+                        assert (result.transition_table, result.marked) == (table, marked)
+
+
+def _assert_chosen_side_is_the_full_construction(nfa, cap=DEFAULT_CAP):
+    """complement_construction's pick equals the full construction of its
+    side, and a backward side that loses to a known k keeps no table."""
+    construction, report = complement_construction(nfa, cap)
+    construct = forward_determinize if report.chosen == FORWARD else backward_determinize
+    fields = attrgetter("direction", "masks", "transition_table", "marked")
+    assert fields(construction) == fields(construct(nfa, cap))
+    _, backward = _both_constructions(nfa, cap)
+    if report.chosen == FORWARD and report.l is not None:
+        assert backward == report.l
+    return report
+
+
+class TestComplementKeepsOneTable:
+    def test_backward_one_smaller_is_chosen_with_its_table(self):
+        report = _assert_chosen_side_is_the_full_construction(witness_ufa(4))
+        assert (report.k, report.l, report.chosen) == (9, 8, BACKWARD)
+
+    def test_a_tie_keeps_forward_and_drops_the_backward_table(self):
+        for n in (0, 1):
+            report = _assert_chosen_side_is_the_full_construction(witness_ufa(n))
+            assert report.k == report.l
+            assert report.chosen == FORWARD
+
+    def test_backward_one_larger_keeps_no_table(self):
+        report = _assert_chosen_side_is_the_full_construction(witness_ufa(2))
+        assert (report.k, report.l, report.chosen) == (3, 4, FORWARD)
+
+    def test_forward_over_the_cap_keeps_every_backward_row(self):
+        # witness_ufa(4) has k=9 and l=8.
+        report = _assert_chosen_side_is_the_full_construction(witness_ufa(4), cap=8)
+        assert (report.k, report.l, report.chosen) == (None, 8, BACKWARD)
+
+    def test_random_unambiguous_automata(self):
+        rng = random.Random(61)
+        differences = set()
+        for _ in range(300):
+            nfa = random_nfa(rng, max_states=5)
+            if is_unambiguous(nfa)[0]:
+                report = _assert_chosen_side_is_the_full_construction(nfa)
+                differences.add(report.l - report.k)
+        assert {-1, 0, 1} <= differences
+
+
 class TestComplement:
     def test_a_plus_complement_accepts_exactly_the_empty_word(self):
         complement, report = complement_ufa(a_plus())
@@ -540,13 +661,18 @@ class TestBoundReport:
             )
 
     def test_a_forward_cap_hit_starts_no_backward_construction(self, monkeypatch):
-        def backward_not_expected(nfa, cap):
-            raise AssertionError("the backward construction was started")
+        started = []
+        engine = automata._determinize
 
-        monkeypatch.setattr("ufa.automata.backward_determinize", backward_not_expected)
+        def spy(nfa, direction, *args):
+            started.append(direction)
+            return engine(nfa, direction, *args)
+
+        monkeypatch.setattr(automata, "_determinize", spy)
         # witness_ufa(2) has k=3 forward subsets.
         with pytest.raises(CapExceededError) as info:
             measure_constructions(witness_ufa(2), cap=2)
+        assert started == [FORWARD]
         assert (info.value.direction, info.value.cap, info.value.partial_count) == (FORWARD, 2, 2)
         assert str(info.value) == (
             "state limit exceeded: forward determinization stopped after "

@@ -263,6 +263,19 @@ class TestSerializeSubsetAutomaton:
         _assert_written_from_the_table(witness_ufa(5))
         _assert_written_from_the_table(_wide_automaton(40))
 
+    @pytest.mark.parametrize("chunk_cells", [1, 2, 5, 64])
+    @pytest.mark.parametrize("slice_lines", [1, 3, 7])
+    def test_every_bucket_chunk_boundary(self, monkeypatch, chunk_cells, slice_lines):
+        # Chunks smaller and larger than a slice, so that runs and slices
+        # both cross the ends of the bucket arrays.
+        monkeypatch.setattr(formats, "_CHUNK", chunk_cells)
+        monkeypatch.setattr(formats, "_SLICE", slice_lines)
+        rng = random.Random(41)
+        for _ in range(20):
+            _assert_written_from_the_table(random_nfa_any(rng))
+        _assert_written_from_the_table(witness_ufa(5))
+        _assert_written_from_the_table(_wide_automaton(40))
+
     def test_forward_pieces_are_the_rows(self):
         construction = forward_determinize(witness_ufa(6))
         stream = _Pieces()
