@@ -11,10 +11,10 @@ for all letters are packed into one int, a subset's images are the OR of
 memoized chunk images, one per nonzero byte of its mask, and the packed
 result is unpacked into per-letter fields in one ``struct`` call.
 
-is_unambiguous searches pairs of states, coded as ints p * n + q, forward
-from the initial states and then backward from the final states over only
-the pairs the forward search reached: on a DFA at most n pairs, not n**2.
-Transition rows are built only for states that have transitions.
+is_unambiguous works on pairs of states.  Small inputs keep them as packed
+rows (bit q of row p for the pair (p, q)), stop at the witness pair and
+replay only its backward chain; larger ones search pairs one by one,
+backward only over the pairs the forward search reached.
 
 complement_construction picks the side a complement is built from.  Only
 that side keeps a transition table: the backward construction stops
@@ -120,17 +120,15 @@ class Nfa:
             )
 
     def _rows(self, here: int, there: int):
-        """Per symbol, a list indexed by the state at position ``here`` of
-        the transition triples, of the sorted tuple of states at position
-        ``there``.  The triples are grouped first, so only states that have
-        transitions get a tuple of their own; the rest share ``()``."""
-        grouped = {}
+        """Per symbol, a dict from each state at position ``here`` of the
+        transition triples to the sorted tuple of states at position
+        ``there``; states without transitions are left out."""
+        rows = {a: {} for a in self.alphabet}
         for triple in self.transitions:
-            grouped.setdefault((triple[1], triple[here]), []).append(triple[there])
-        rows = {a: [()] * self.state_count for a in self.alphabet}
-        for (a, q), states in grouped.items():
-            states.sort()
-            rows[a][q] = tuple(states)
+            rows[triple[1]].setdefault(triple[here], []).append(triple[there])
+        for row in rows.values():
+            for q, states in row.items():
+                row[q] = tuple(sorted(states))
         return rows
 
     @cached_property
@@ -143,6 +141,28 @@ class Nfa:
         """Per symbol, per target state, the sorted tuple of predecessors."""
         return self._rows(2, 0)
 
+    def _packed(self, here: int, there: int):
+        """Per state q with transitions, an int with bit
+        ``8 * _byte_width(state_count) * j + r`` set iff a triple on
+        ``alphabet[j]`` has q at ``here`` and r at ``there``.  Not cached,
+        so that a construction does not keep the other direction's alive."""
+        width = _byte_width(self.state_count)
+        offset = {a: j * width for j, a in enumerate(self.alphabet)}
+        size = len(self.alphabet) * width
+        cells = {}
+        for triple in self.transitions:
+            q, r = triple[here], triple[there]
+            row = cells.get(q)
+            if row is None:
+                row = cells[q] = bytearray(size)
+            row[offset[triple[1]] + (r >> 3)] |= 1 << (r & 7)
+        return {q: int.from_bytes(row, "little") for q, row in cells.items()}
+
+
+def _byte_width(state_count: int) -> int:
+    """Bytes in one letter's field of a packed row (at least one)."""
+    return (state_count + 7) // 8 or 1
+
 
 def count_accepting_runs(nfa: Nfa, word) -> int:
     """Exact number of accepting runs of ``word``.
@@ -153,33 +173,32 @@ def count_accepting_runs(nfa: Nfa, word) -> int:
     so the cost is len(word) * transitions, not the number of runs.  The
     word is accepted iff the result is positive.
     """
-    counts = [0] * nfa.state_count
-    for q in nfa.initial:
-        counts[q] = 1
+    counts = dict.fromkeys(nfa.initial, 1)
     for a in word:
         rows = nfa._succ.get(a)
         if rows is None:
             raise ValueError(f"symbol not in alphabet: {a!r}")
-        nxt = [0] * nfa.state_count
-        for q, c in enumerate(counts):
-            if c:
-                for r in rows[q]:
-                    nxt[r] += c
+        nxt = {}
+        for q, c in counts.items():
+            for r in rows.get(q, ()):
+                nxt[r] = nxt.get(r, 0) + c
         counts = nxt
-    return sum(counts[q] for q in nfa.final)
+    return sum(c for q, c in counts.items() if q in nfa.final)
 
 
-def _pair_search(nfa: Nfa, backward: bool = False, allowed=None):
-    """Breadth-first search over pairs of states stepped in lockstep.
+def _pair_search(nfa: Nfa, parent: dict, backward: bool = False, allowed=None):
+    """Breadth-first search over pairs of states stepped in lockstep,
+    generating the pairs in discovery order.
 
     Forward, the seeds are the pairs of initial states and a pair steps to
     the pairs of its successors; backward, the seeds are the pairs of final
     states and a pair steps to the pairs of its predecessors.  A pair
     (p, q) is coded as the int ``p * n + q``.  When ``allowed`` is given,
     only pairs in it are visited and the seeds are read off it, sorted,
-    which is the nested loop's order.  Returns the discovery order and a
-    parent map ``code -> (parent code, symbol)`` (seeds map to None).
-    Deterministic: seeds, alphabet and successor tuples are all ordered.
+    which is the nested loop's order.  The empty dict ``parent`` gets
+    ``code -> (parent code, symbol)`` (seeds map to None) as the search
+    goes, which stops where its caller does.  Deterministic: seeds,
+    alphabet and successor tuples are all ordered.
     """
     n = nfa.state_count
     seeds = nfa.final if backward else nfa.initial
@@ -190,25 +209,25 @@ def _pair_search(nfa: Nfa, backward: bool = False, allowed=None):
         codes = (p * n + q for p in ordered for q in ordered)
     else:
         codes = sorted(code for code in allowed if code // n in seeds and code % n in seeds)
-    parent = dict.fromkeys(codes)
+    parent.update(dict.fromkeys(codes))
     # Iterating a list visits what is appended during the loop, which makes
     # the discovery order the breadth-first queue.
     order = list(parent)
     for code in order:
+        yield code
         p, q = divmod(code, n)
         for a, rows in columns:
-            targets = rows[q]
+            targets = rows.get(q)
             if not targets:
                 continue
             link = (code, a)
-            for p2 in rows[p]:
+            for p2 in rows.get(p, ()):
                 base = p2 * n
                 for q2 in targets:
                     child = base + q2
                     if child not in parent and (allowed is None or child in allowed):
                         parent[child] = link
                         order.append(child)
-    return order, parent
 
 
 def _trace_word(parent, code, reverse: bool) -> Word:
@@ -224,30 +243,201 @@ def _trace_word(parent, code, reverse: bool) -> Word:
     return tuple(symbols)
 
 
-def _unambiguity(nfa: Nfa):
-    """The pairs of the forward pair search, as (p, q) tuples in discovery
-    order (produced lazily, so they cost nothing unless read), and a
-    witness word, or None when no word has two accepting runs.
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    The backward search visits only forward-reachable pairs, which cannot
-    change the witness.  Backward, a pair Y discovers a pair X only when X
-    steps to Y on some letter, and if X is forward-reachable so is Y.  So
-    no pruned pair discovers a kept one, and the kept pairs keep the
-    discovery order and parents of the unpruned search.
+
+# Pairs are packed rows while n * n * (|alphabet| + 1) is at most this many
+# bits: rows cost time and memory quadratic in n whatever the input holds,
+# and above it the per-pair search is several times faster on DFAs.
+_PAIR_BITS = 1 << 24
+
+
+def _pair_stepper(nfa: Nfa, packed: dict):
+    """``step(p, mask)`` for pairs kept as rows ``{p: mask}`` (bit q for
+    the pair (p, q)): per letter, the states p steps to along ``packed``
+    and the mask of those the bits of mask step to, the OR of their
+    packed ints split into letters in one ``struct`` call."""
+    width = _byte_width(nfa.state_count)
+    fields = struct.Struct(f"{width}s" * len(nfa.alphabet))
+    zero = bytes(width)
+    get = packed.get
+    # moves[p]: (letter index, the states p steps to on it), per letter.
+    moves = {}
+
+    def step(p, mask):
+        steps = moves.get(p)
+        if steps is None:
+            steps = moves[p] = []
+            for j, field in enumerate(fields.unpack(get(p, 0).to_bytes(fields.size, "little"))):
+                if field != zero:
+                    steps.append((j, list(_bits(int.from_bytes(field, "little")))))
+        if not steps:
+            return ()
+        if mask & (mask - 1):
+            image = 0
+            while mask:
+                low = mask & -mask
+                image |= get(low.bit_length() - 1, 0)
+                mask ^= low
+        else:
+            image = get(mask.bit_length() - 1, 0)
+        images = fields.unpack(image.to_bytes(fields.size, "little"))
+        return [(targets, int.from_bytes(images[j], "little")) for j, targets in steps if images[j] != zero]
+
+    return step
+
+
+def _reachable_rows(step, seeds: dict) -> dict:
+    """The rows of the pairs reachable from the rows ``seeds``; a row waits
+    in the worklist with all the bits it gained, stepped once for them."""
+    seen = dict(seeds)
+    pending = dict(seeds)
+    # Iterating a list visits what is appended during the loop.
+    order = list(seeds)
+    for p in order:
+        for targets, found in step(p, pending.pop(p)):
+            for p2 in targets:
+                old = seen.get(p2, 0)
+                new = found & ~old
+                if new:
+                    seen[p2] = old | new
+                    if p2 in pending:
+                        pending[p2] |= new
+                    else:
+                        pending[p2] = new
+                        order.append(p2)
+    return seen
+
+
+def _pair_layers(step, seeds: dict, within: dict):
+    """Generate, seeds first, the breadth-first layers of the pairs of
+    ``within`` reachable from ``seeds``, all as rows."""
+    seen = dict(seeds)
+    layer = seeds
+    while layer:
+        yield layer
+        reached = {}
+        for p, mask in layer.items():
+            for targets, found in step(p, mask):
+                for p2 in targets:
+                    reached[p2] = reached.get(p2, 0) | found
+        layer = {}
+        for p, mask in reached.items():
+            new = mask & within.get(p, 0) & ~seen.get(p, 0)
+            if new:
+                layer[p] = new
+                seen[p] = seen.get(p, 0) | new
+
+
+def _cone_parents(nfa: Nfa, layers: list, target: int) -> dict:
+    """The backward pair search's parent links from ``target`` to a seed,
+    replayed on its successor cone; ``layers`` are that search's layers.
+
+    With d the target's layer, C_d = {target} and C_(j-1) holds the pairs
+    of layer j - 1 that a pair of C_j steps to, all its candidate parents.
+    C_0 is ranked by code.  For j = 1..d, X in C_j takes as parent the Y
+    in C_(j-1) with the least (rank of Y, letter index), and C_j is ranked
+    by (that key, code of X): the backward queue's order, as the pairs a Y
+    finds on one letter are queued by their places in sorted predecessor
+    tuples, that is by code.
     """
-    fwd_order, fwd_parent = _pair_search(nfa)
-    _, bwd_parent = _pair_search(nfa, backward=True, allowed=fwd_parent)
     n = nfa.state_count
-    witness = None
-    for code in fwd_order:
-        if code in bwd_parent:
+    columns = [nfa._succ[a] for a in nfa.alphabet]
+    depth = next(d for d, layer in enumerate(layers) if layer.get(target // n, 0) >> target % n & 1)
+    # Each cone maps its pairs to their (letter index, candidate parent)s.
+    cones = [{target: []}]
+    for layer in layers[depth - 1::-1] if depth else ():
+        below = {}
+        for code, links in cones[-1].items():
             p, q = divmod(code, n)
-            if p != q:
-                witness = _trace_word(fwd_parent, code, reverse=True) + _trace_word(
-                    bwd_parent, code, reverse=False
-                )
-                break
-    return (divmod(code, n) for code in fwd_order), witness
+            for letter, rows in enumerate(columns):
+                targets = rows.get(q)
+                if not targets:
+                    continue
+                for p2 in rows.get(p, ()):
+                    mask = layer.get(p2, 0)
+                    for q2 in targets:
+                        if mask >> q2 & 1:
+                            links.append((letter, p2 * n + q2))
+                            below.setdefault(p2 * n + q2, [])
+        cones.append(below)
+    rank = {code: i for i, code in enumerate(sorted(cones.pop()))}
+    parent = dict.fromkeys(rank)
+    while cones:
+        keys = {}
+        for code, links in cones.pop().items():
+            letter, above = min(links, key=lambda link: (rank[link[1]], link[0]))
+            parent[code] = (above, nfa.alphabet[letter])
+            keys[code] = (rank[above], letter, code)
+        rank = {code: i for i, code in enumerate(sorted(keys, key=keys.get))}
+    return parent
+
+
+def _row_witness_pair(nfa: Nfa, fwd_parent: dict):
+    """(forward-reachable rows R, witness pair code or None, backward
+    layers computed) on packed rows.  When a layer within R first holds
+    a pair of distinct states, the forward search (filling ``fwd_parent``)
+    runs to its first such pair X; the layers stop once X shows up, else
+    the search goes on to the first one in any layer.  A yes answer runs
+    no per-pair search."""
+    n = nfa.state_count
+    reach = _reachable_rows(_pair_stepper(nfa, nfa._packed(0, 2)), dict.fromkeys(nfa.initial, _mask(nfa.initial)))
+    layers = []
+    if not any(row & ~(1 << p) for p, row in reach.items()):
+        return reach, None, layers
+    final = _mask(nfa.final)
+    seeds = {p: reach[p] & final for p in nfa.final if reach.get(p, 0) & final}
+    search = None
+    for layer in _pair_layers(_pair_stepper(nfa, nfa._packed(2, 0)), seeds, reach):
+        layers.append(layer)
+        if search is None and any(row & ~(1 << p) for p, row in layer.items()):
+            search = _pair_search(nfa, fwd_parent)
+            first = next(code for code in search if code // n != code % n)
+        if search is not None and layer.get(first // n, 0) >> first % n & 1:
+            return reach, first, layers
+    if search is None:
+        return reach, None, layers
+    goal = {}
+    for layer in layers:
+        for p, row in layer.items():
+            goal[p] = goal.get(p, 0) | row & ~(1 << p)
+    return reach, next(code for code in search if goal.get(code // n, 0) >> code % n & 1), layers
+
+
+def _unambiguity(nfa: Nfa):
+    """The forward-reachable pairs, as (p, q) tuples in no set order
+    (produced lazily), and a witness word, or None when no word has two
+    accepting runs.
+
+    The witness pair is the first pair of distinct states in forward
+    discovery order that the backward search reaches.  That search visits
+    only forward-reachable pairs, which cannot change the witness: a pair
+    Y discovers X only when X steps to Y, and then Y is forward-reachable
+    if X is, so the kept pairs keep their order, parents and layers.  Up
+    to _PAIR_BITS the pairs are packed rows (_row_witness_pair and
+    _cone_parents); above it both per-pair searches run in full.
+    """
+    n = nfa.state_count
+    fwd_parent, bwd_parent = {}, {}
+    if n * n * (len(nfa.alphabet) + 1) > _PAIR_BITS:
+        fwd_order = list(_pair_search(nfa, fwd_parent))
+        for _ in _pair_search(nfa, bwd_parent, backward=True, allowed=fwd_parent):
+            pass
+        pairs = (divmod(code, n) for code in fwd_order)
+        target = next((code for code in fwd_order if code in bwd_parent and code // n != code % n), None)
+    else:
+        reach, target, layers = _row_witness_pair(nfa, fwd_parent)
+        pairs = ((p, q) for p, row in reach.items() for q in _bits(row))
+        if target is not None:
+            bwd_parent = _cone_parents(nfa, layers, target)
+    if target is None:
+        return pairs, None
+    return pairs, _trace_word(fwd_parent, target, True) + _trace_word(bwd_parent, target, False)
 
 
 def is_unambiguous(nfa: Nfa):
@@ -256,8 +446,9 @@ def is_unambiguous(nfa: Nfa):
     Ambiguity holds iff some pair of distinct states is both reachable from
     the initial states and co-reachable to the final states along common
     words (Weber & Seidl, TCS 1991); both sides are searched over state
-    pairs, so no words are enumerated.  Returns (True, None) or (False,
-    witness) where the witness word has at least two accepting runs.
+    pairs, so no words are enumerated (see _unambiguity).  Returns (True,
+    None) or (False, witness) where the witness word has at least two
+    accepting runs.
     """
     _, witness = _unambiguity(nfa)
     return witness is None, witness
@@ -343,23 +534,16 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows_until=None):
     if cap < 1:
         raise ValueError("cap must be positive")
     if direction == FORWARD:
-        rows_by_symbol, seed, mark_against = nfa._succ, nfa.initial, nfa.final
+        packed, seed, mark_against = nfa._packed(0, 2), nfa.initial, nfa.final
     else:
-        rows_by_symbol, seed, mark_against = nfa._pred, nfa.final, nfa.initial
+        packed, seed, mark_against = nfa._packed(2, 0), nfa.final, nfa.initial
     if rows_until is None:
         # No construction gets past cap subsets.
         rows_until = cap + 1
-    width = (nfa.state_count + 7) // 8 or 1
+    width = _byte_width(nfa.state_count)
     # packed[q] holds q's one-letter image under alphabet[j] in bytes
-    # [j * width, (j + 1) * width).  These rows take n * |alphabet| * width
-    # bytes in all, quadratic in the state count.
-    packed = [
-        int.from_bytes(
-            b"".join(_mask(rows_by_symbol[a][q]).to_bytes(width, "little") for a in nfa.alphabet),
-            "little",
-        )
-        for q in range(nfa.state_count)
-    ]
+    # [j * width, (j + 1) * width).  These rows take up to
+    # n * |alphabet| * width bytes in all, quadratic in the state count.
     fields = struct.Struct(f"{width}s" * len(nfa.alphabet))
     # parts[32 * shift + byte], for shift a multiple of 8: the OR of
     # packed[shift + i] over the bits i of byte, filled in on first use.
@@ -387,7 +571,7 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows_until=None):
             part = parts[shift << 5 | byte]
             if part is None:
                 # A one-bit byte keeps its packed row itself rather than a copy.
-                members = [packed[shift + i] for i in range(8) if byte >> i & 1]
+                members = [packed.get(shift + i, 0) for i in range(8) if byte >> i & 1]
                 part = members.pop()
                 for other in members:
                     part |= other

@@ -175,9 +175,50 @@ def _dfa_with_twin(rng) -> Nfa:
     return Nfa(n + 1, alphabet, transitions, {start}, final)
 
 
+# Values of automata._PAIR_BITS that force each path of the pair test.
+PAIR_PATHS = {"rows": 1 << 62, "pairs": -1}
+
+
+def _planted_twin(rng, n: int, letters: int) -> Nfa:
+    """A random complete DFA on n states, n // 20 extra random edges and
+    one planted twin: a new state copying the out-edges and finality of
+    the target s of an edge r -x-> s with r reachable and s co-reachable,
+    plus the edge r -x-> twin.  Ambiguous by construction."""
+    alphabet = tuple("abc"[:letters])
+    while True:
+        targets, start, final = _random_dfa(rng, n, letters)
+        edges = {(q, a, targets[q][j]) for q in range(n) for j, a in enumerate(alphabet)}
+        edges |= {(rng.randrange(n), rng.choice(alphabet), rng.randrange(n)) for _ in range(n // 20)}
+        reachable, co_reachable = {start}, set(final)
+        for seen, step in ((reachable, lambda e: (e[0], e[2])), (co_reachable, lambda e: (e[2], e[0]))):
+            grown = True
+            while grown:
+                grown = False
+                for edge in edges:
+                    here, there = step(edge)
+                    if here in seen and there not in seen:
+                        seen.add(there)
+                        grown = True
+        candidates = sorted(
+            (q, a, targets[q][j])
+            for q in range(n)
+            for j, a in enumerate(alphabet)
+            if q in reachable and targets[q][j] in co_reachable
+        )
+        if candidates:
+            break
+    r, x, copied = rng.choice(candidates)
+    twin = n
+    edges |= {(twin, a, d) for src, a, d in edges if src == copied}
+    edges.add((r, x, twin))
+    return Nfa(n + 1, alphabet, edges, {start}, final | ({twin} if copied in final else set()))
+
+
 class TestPairSearchAgainstTheOracle:
-    """The coded, pruned pair search gives the verdicts, witnesses and
-    pair orders of two full searches over (p, q) tuples."""
+    """Both paths of the pair test, packed rows and the coded, pruned
+    per-pair search, give the verdicts, witnesses and reachable pairs of
+    two full searches over (p, q) tuples; the per-pair path also keeps
+    their pair order."""
 
     @staticmethod
     def _instances():
@@ -189,18 +230,68 @@ class TestPairSearchAgainstTheOracle:
             Nfa(0, ("a", "b"), set(), set(), set()),
             Nfa(3, (), set(), {0, 1, 2}, {1, 2}),
             Nfa(3, ("a",), set(), {0, 1}, {0, 1}),
+            # The witness pair is a seed of the forward search: (0, 1)
+            # after the empty word, and the backward chain is a b.
+            Nfa(4, ("a", "b"), {(0, "a", 2), (1, "a", 2), (2, "b", 3), (0, "b", 0)}, {0, 1}, {3}),
+            # Self-loops, several initial and final states, and a seed
+            # pair that is also final.
+            Nfa(3, ("a", "b"), {(0, "a", 0), (1, "a", 1), (2, "b", 2), (0, "b", 2)}, {0, 1, 2}, {0, 2}),
         ]
         return pool
 
-    def test_verdict_witness_and_pair_order(self):
-        ambiguous = 0
-        for nfa in self._instances():
+    def test_verdict_witness_and_pair_order(self, monkeypatch):
+        for path, bits in PAIR_PATHS.items():
+            monkeypatch.setattr(automata, "_PAIR_BITS", bits)
+            ambiguous = 0
+            for nfa in self._instances():
+                expected = reference_is_unambiguous(nfa)
+                assert is_unambiguous(nfa) == expected, path
+                pairs, _ = _unambiguity(nfa)
+                reachable = reference_reachable_state_pairs(nfa)
+                if path == "pairs":
+                    assert list(pairs) == reachable
+                else:
+                    assert sorted(pairs) == sorted(reachable)
+                ambiguous += not expected[0]
+            assert 300 <= ambiguous <= 1700
+
+    def test_both_paths_on_planted_twins(self, monkeypatch):
+        # The benchmark's shape of input, at 100-200 states.
+        rng = random.Random(13)
+        for i in range(6):
+            nfa = _planted_twin(rng, rng.randint(100, 200), 2 + i % 2)
             expected = reference_is_unambiguous(nfa)
-            assert is_unambiguous(nfa) == expected
-            pairs, _ = _unambiguity(nfa)
-            assert list(pairs) == reference_reachable_state_pairs(nfa)
-            ambiguous += not expected[0]
-        assert 300 <= ambiguous <= 1700
+            assert not expected[0]
+            for bits in PAIR_PATHS.values():
+                monkeypatch.setattr(automata, "_PAIR_BITS", bits)
+                assert is_unambiguous(nfa) == expected
+
+    def test_backward_layers_stay_within_the_forward_pairs(self):
+        rng = random.Random(77)
+        checked = 0
+        for _ in range(400):
+            nfa = rng.choice((_random_automaton, _dfa_with_twin))(rng)
+            reach, _, layers = automata._row_witness_pair(nfa, {})
+            for layer in layers:
+                for p, row in layer.items():
+                    assert row & ~reach.get(p, 0) == 0
+                    checked += 1
+        assert checked >= 100
+
+    def test_size_rule_and_the_yes_path_reads_no_per_pair_rows(self, monkeypatch):
+        # The rows path builds only the packed tables; a yes answer never
+        # builds the per-state rows that the per-pair search reads.
+        rng = random.Random(150)
+        n = 150
+        targets, start, final = _random_dfa(rng, n, 2)
+        transitions = {(q, a, targets[q][j]) for q in range(n) for j, a in enumerate("ab")}
+        for nfa in (Nfa(n, ("a", "b"), transitions, {start}, final), witness_ufa(6)):
+            size = nfa.state_count ** 2 * (len(nfa.alphabet) + 1)
+            for bits, per_pair in ((size, False), (size - 1, True)):
+                monkeypatch.setattr(automata, "_PAIR_BITS", bits)
+                fresh = Nfa(nfa.state_count, nfa.alphabet, nfa.transitions, nfa.initial, nfa.final)
+                assert is_unambiguous(fresh) == (True, None)
+                assert ("_succ" in vars(fresh), "_pred" in vars(fresh)) == (per_pair, per_pair)
 
     def test_planted_twins_are_found(self):
         rng = random.Random(5)
@@ -220,8 +311,9 @@ class TestPairSearchAgainstTheOracle:
         for _ in range(400):
             nfa = rng.choice((_random_automaton, _dfa_with_twin))(rng)
             n = nfa.state_count
-            _, forward = _pair_search(nfa)
-            order, parent = _pair_search(nfa, backward=True, allowed=forward)
+            forward, parent = {}, {}
+            list(_pair_search(nfa, forward))
+            order = list(_pair_search(nfa, parent, backward=True, allowed=forward))
             full_order, full_parent = reference_pair_search(
                 seed_pairs(nfa.final), nfa.alphabet, reference_rows(nfa, backward=True)
             )
@@ -244,8 +336,9 @@ class TestPairSearchAgainstTheOracle:
             {(q, a, targets[q][j]) for q in range(n) for j, a in enumerate("ab")},
             {start}, final,
         )
-        _, forward = _pair_search(nfa)
-        _, backward = _pair_search(nfa, backward=True, allowed=forward)
+        forward, backward = {}, {}
+        list(_pair_search(nfa, forward))
+        list(_pair_search(nfa, backward, backward=True, allowed=forward))
         assert all(code % (n + 1) == 0 for code in forward)
         assert 1 <= len(backward) <= n
         assert is_unambiguous(nfa) == (True, None)

@@ -23,6 +23,7 @@ from ufa import (
     verify_tightness,
     witness_ufa,
 )
+from ufa import automata
 from ufa.bridge import _label, _measure_witness, _witness_sizes, graph_to_ufa
 from helpers import (
     a_plus,
@@ -88,6 +89,28 @@ class TestExtractGraph:
                 (min(p, q), max(p, q)) for p, q in reference_reachable_state_pairs(nfa) if p != q
             })
             assert extract_graph(nfa).edges() == edges
+
+    def test_same_graph_on_both_pair_paths(self, monkeypatch):
+        # Packed rows (forced by a huge size rule) and the per-pair search
+        # (forced by a negative one) read the edges off the same pairs.
+        rng = random.Random(32)
+        pool = [witness_ufa(n) for n in range(2, 8)]
+        pool += [graph_to_ufa(Graph.from_edges(6, rng.sample(
+            [(u, v) for u in range(6) for v in range(u + 1, 6)], rng.randint(0, 15)
+        ))) for _ in range(10)]
+        pool += [random_nfa(rng, max_states=7, density=0.2) for _ in range(200)]
+        edged = 0
+        for nfa in pool:
+            if not reference_is_unambiguous(nfa)[0]:
+                continue
+            graphs_by_path = []
+            for bits in (1 << 62, -1):
+                monkeypatch.setattr(automata, "_PAIR_BITS", bits)
+                copy = Nfa(nfa.state_count, nfa.alphabet, nfa.transitions, nfa.initial, nfa.final)
+                graphs_by_path.append(extract_graph(copy))
+            assert graphs_by_path[0] == graphs_by_path[1]
+            edged += bool(graphs_by_path[0].edges())
+        assert edged >= 20
 
 
 class TestGraphToUfa:

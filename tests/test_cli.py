@@ -458,6 +458,16 @@ class TestOversizedHeaderCounts:
         )
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+def test_declared_hundred_million_states_without_transitions(tmp_path):
+    # 54 bytes.  Per-symbol rows with an entry per declared state ended in
+    # a MemoryError traceback with exit 1; rows now hold only the states
+    # that have transitions.
+    path = tmp_path / "declared.nfa"
+    path.write_text("nfa 100000000\nalphabet a\ninitial 0\nfinal 99999999\n")
+    assert _run_limited(["check-unambiguous", str(path)]) == (EXIT_OK, "unambiguous=yes\n", "")
+
+
 _HUGE_EDGELESS_GRAPH = """
 from ufa import count_cliques, count_cocliques, parse_graph, serialize_graph
 
