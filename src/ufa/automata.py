@@ -7,9 +7,11 @@ operation returns new values.
 
 The subset constructions represent a subset of base states as an int mask
 (bit q set iff state q is a member).  Each base state's one-letter images
-for all letters are packed into one int, a subset's images are the OR of
-memoized chunk images, one per nonzero byte of its mask, and the packed
-result is unpacked into per-letter fields in one ``struct`` call.
+for all letters are packed into one int, and a subset's images are the OR
+of memoized chunk images, one per byte of its mask, unpacked into
+per-letter fields by ``struct``.  Subsets are stepped in batches: masks of
+up to 8 bytes one byte column of the whole batch at a time, wider ones one
+mask at a time over its nonzero bytes.
 
 is_unambiguous works on pairs of states.  Small inputs keep them as packed
 rows (bit q of row p for the pair (p, q)), stop at the witness pair and
@@ -29,8 +31,9 @@ straight from its transition table in time linear in the table's cells.
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress, count, repeat
+from functools import cached_property, partial, reduce
+from itertools import chain, compress, count, repeat
+from operator import or_
 
 Word = tuple[str, ...]
 
@@ -128,7 +131,8 @@ class Nfa:
             rows[triple[1]].setdefault(triple[here], []).append(triple[there])
         for row in rows.values():
             for q, states in row.items():
-                row[q] = tuple(sorted(states))
+                states.sort()
+                row[q] = tuple(states)
         return rows
 
     @cached_property
@@ -160,8 +164,10 @@ class Nfa:
 
 
 def _byte_width(state_count: int) -> int:
-    """Bytes in one letter's field of a packed row (at least one)."""
-    return (state_count + 7) // 8 or 1
+    """Bytes in one letter's field of a packed row: at least one, and a
+    power of two up to 8, so that struct reads a narrow field as an int."""
+    width = (state_count + 7) // 8
+    return width if width > 8 else 1 << max(width - 1, 0).bit_length()
 
 
 def count_accepting_runs(nfa: Nfa, word) -> int:
@@ -257,11 +263,16 @@ def _bits(mask: int):
 _PAIR_BITS = 1 << 24
 
 
-def _pair_stepper(nfa: Nfa, packed: dict):
+def _pair_stepper(nfa: Nfa, backward: bool = False):
     """``step(p, mask)`` for pairs kept as rows ``{p: mask}`` (bit q for
-    the pair (p, q)): per letter, the states p steps to along ``packed``
-    and the mask of those the bits of mask step to, the OR of their
-    packed ints split into letters in one ``struct`` call."""
+    the pair (p, q)): per letter, the states p steps to (its successors,
+    backward its predecessors) and the mask of those the bits of mask step
+    to, the OR of their packed ints split into letters in one ``struct``
+    call.  The rows are not the cached _succ and _pred, which would
+    outlive a yes answer."""
+    here, there = (2, 0) if backward else (0, 2)
+    packed = nfa._packed(here, there)
+    columns = list(nfa._rows(here, there).values())
     width = _byte_width(nfa.state_count)
     fields = struct.Struct(f"{width}s" * len(nfa.alphabet))
     zero = bytes(width)
@@ -272,10 +283,7 @@ def _pair_stepper(nfa: Nfa, packed: dict):
     def step(p, mask):
         steps = moves.get(p)
         if steps is None:
-            steps = moves[p] = []
-            for j, field in enumerate(fields.unpack(get(p, 0).to_bytes(fields.size, "little"))):
-                if field != zero:
-                    steps.append((j, list(_bits(int.from_bytes(field, "little")))))
+            steps = moves[p] = [(j, rows[p]) for j, rows in enumerate(columns) if p in rows]
         if not steps:
             return ()
         if mask & (mask - 1):
@@ -386,14 +394,14 @@ def _row_witness_pair(nfa: Nfa, fwd_parent: dict):
     the search goes on to the first one in any layer.  A yes answer runs
     no per-pair search."""
     n = nfa.state_count
-    reach = _reachable_rows(_pair_stepper(nfa, nfa._packed(0, 2)), dict.fromkeys(nfa.initial, _mask(nfa.initial)))
+    reach = _reachable_rows(_pair_stepper(nfa), dict.fromkeys(nfa.initial, _mask(nfa.initial)))
     layers = []
     if not any(row & ~(1 << p) for p, row in reach.items()):
         return reach, None, layers
     final = _mask(nfa.final)
     seeds = {p: reach[p] & final for p in nfa.final if reach.get(p, 0) & final}
     search = None
-    for layer in _pair_layers(_pair_stepper(nfa, nfa._packed(2, 0)), seeds, reach):
+    for layer in _pair_layers(_pair_stepper(nfa, backward=True), seeds, reach):
         layers.append(layer)
         if search is None and any(row & ~(1 << p) for p, row in layer.items()):
             search = _pair_search(nfa, fwd_parent)
@@ -523,13 +531,30 @@ def _mask(states) -> int:
     return sum(1 << q for q in states)
 
 
+# Subsets of at most this many bytes get their images one byte column at a
+# time over a batch; wider ones one subset at a time, over the nonzero
+# bytes of its mask, so that a sparse subset costs what it holds.
+_COLUMN_BYTES = 8
+# A batch's images fill about this many table cells, a cell wider than 8
+# bytes counting once per 8 bytes.
+_BATCH_CELLS = 1 << 12
+
+
+def _part(packed: dict, base: int, byte: int) -> int:
+    """The OR of ``packed[base + i]`` over the set bits i of the nonzero
+    ``byte``; a one-bit byte gives its packed row itself, not a copy."""
+    return reduce(or_, [packed.get(base + i, 0) for i in range(8) if byte >> i & 1])
+
+
 def _determinize(nfa: Nfa, direction: str, cap: int, rows_until=None):
     """The subset construction in ``direction``, as a SubsetAutomaton.
 
-    Once ``rows_until`` subsets are known (never, when it is None), rows
-    are no longer needed: the rest of the subsets are only discovered, the
-    table and ``marked`` are dropped, and the return value is just the
-    number of subsets.
+    The breadth-first worklist is taken in batches, whose images are
+    computed together.  While fewer than ``rows_until`` subsets are known
+    (always, when it is None), each subset of a batch gets its row, and
+    its new images their numbers, in turn.  After that the subsets are
+    only counted, a layer at a time: the table and ``marked`` are dropped,
+    and the return value is the number of subsets.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -542,71 +567,86 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows_until=None):
         rows_until = cap + 1
     width = _byte_width(nfa.state_count)
     # packed[q] holds q's one-letter image under alphabet[j] in bytes
-    # [j * width, (j + 1) * width).  These rows take up to
-    # n * |alphabet| * width bytes in all, quadratic in the state count.
-    fields = struct.Struct(f"{width}s" * len(nfa.alphabet))
-    # parts[32 * shift + byte], for shift a multiple of 8: the OR of
-    # packed[shift + i] over the bits i of byte, filled in on first use.
-    parts = [None] * (256 * width)
-    # Subsets are kept, and looked up, in their width-byte little-endian
-    # encoding, the form in which an unpacked image yields them.
-    subsets = [_mask(seed).to_bytes(width, "little")]
-    index = {subsets[0]: 0}
-    lookup = index.get
-    table = []
-    # Iterating a list visits what is appended during the loop, which makes
-    # this the breadth-first worklist.
-    for subset in subsets:
-        if table is not None and len(subsets) >= rows_until:
-            # Only the count is wanted from here on: a set of the known
-            # subsets replaces the index, and no row is kept.
-            index, lookup, table = set(index), None, None
-        mask = int.from_bytes(subset, "little")
-        image = 0
+    # [j * width, (j + 1) * width); n * |alphabet| * width bytes in all.
+    # Subsets are kept, and looked up, as unpacking an image yields them:
+    # ints up to 8 bytes, little-endian bytes above.
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width, f"{width}s")
+    fields = struct.Struct("<" + code * len(nfa.alphabet))
+    as_mask = int if width <= 8 else partial(int.from_bytes, byteorder="little")
+    size = max(1, _BATCH_CELLS // ((len(nfa.alphabet) or 1) * -(-width // 8)))
+    # Memos of _part, keyed by what is used, as n may be huge: per byte
+    # column i by byte on the column path, else one by 256 * i + byte.
+    by_column = width <= _COLUMN_BYTES
+    parts = [{0: 0} for _ in range((nfa.state_count + 7) // 8 or 1)] if by_column else {}
+
+    def image(subset):
+        mask, found = as_mask(subset), 0
         # One step per nonzero byte of the mask, lowest first.
         while mask:
             shift = (mask & -mask).bit_length() - 1 & ~7
             byte = mask >> shift & 255
             mask ^= byte << shift
-            part = parts[shift << 5 | byte]
-            if part is None:
-                # A one-bit byte keeps its packed row itself rather than a copy.
-                members = [packed.get(shift + i, 0) for i in range(8) if byte >> i & 1]
-                part = members.pop()
-                for other in members:
-                    part |= other
-                parts[shift << 5 | byte] = part
-            image |= part
-        images = fields.unpack(image.to_bytes(fields.size, "little"))
-        if table is None:
-            # New subsets are registered in set order, which no caller sees.
-            for new in set(images).difference(index):
-                if len(subsets) >= cap:
-                    raise CapExceededError(direction, cap, len(subsets))
-                index.add(new)
-                subsets.append(new)
-            continue
-        row = tuple(map(lookup, images))
-        if None in row:
-            row = list(row)
-            for j, target in enumerate(row):
-                if target is None:
-                    new = images[j]
-                    target = lookup(new)
+            if shift << 5 | byte not in parts:
+                parts[shift << 5 | byte] = _part(packed, shift, byte)
+            found |= parts[shift << 5 | byte]
+        return found
+
+    def images(batch):
+        """Per subset of ``batch``, its images as a tuple of fields."""
+        if by_column:
+            # Stripe i holds byte i of each subset; an image is the OR of
+            # the parts of its bytes.
+            joined = b"".join(batch) if width > 8 else struct.pack(f"<{len(batch)}{code}", *batch)
+            stripes = [joined[i::width] for i in range(len(parts))]
+            for i, stripe in enumerate(stripes):
+                parts[i].update((byte, _part(packed, 8 * i, byte)) for byte in set(stripe).difference(parts[i]))
+            found = reduce(partial(map, or_), map(map, (part.__getitem__ for part in parts), stripes))
+        else:
+            found = map(image, batch)
+        return map(fields.unpack, map(int.to_bytes, found, repeat(fields.size), repeat("little")))
+
+    subsets = list(struct.unpack("<" + code, _mask(seed).to_bytes(width, "little")))
+    index = {subsets[0]: 0}
+    lookup = index.get
+    table = []
+    done = 0
+    while done < len(subsets) < rows_until:
+        batch = subsets[done:done + size]
+        done += len(batch)
+        for row_images in images(batch):
+            row = tuple(map(lookup, row_images))
+            if None in row:
+                row = list(row)
+                for j, target in enumerate(row):
                     if target is None:
-                        if len(subsets) >= cap:
-                            raise CapExceededError(direction, cap, len(subsets))
-                        target = index[new] = len(subsets)
-                        subsets.append(new)
-                    row[j] = target
-            row = tuple(row)
-        table.append(row)
-    if table is None:
-        return len(subsets)
-    masks = tuple(map(int.from_bytes, subsets, repeat("little")))
-    against = _mask(mark_against)
-    marked = frozenset(compress(count(), map(against.__and__, masks)))
-    return SubsetAutomaton(nfa, direction, masks, tuple(table), marked)
+                        new = row_images[j]
+                        target = lookup(new)
+                        if target is None:
+                            if len(subsets) >= cap:
+                                raise CapExceededError(direction, cap, len(subsets))
+                            target = index[new] = len(subsets)
+                            subsets.append(new)
+                        row[j] = target
+                row = tuple(row)
+            table.append(row)
+    if len(subsets) < rows_until:
+        masks = tuple(map(as_mask, subsets))
+        against = _mask(mark_against)
+        marked = frozenset(compress(count(), map(against.__and__, masks)))
+        return SubsetAutomaton(nfa, direction, masks, tuple(table), marked)
+    known, layer = set(subsets), subsets[done:]
+    subsets = index = lookup = table = None
+    while layer:
+        found = []
+        for start in range(0, len(layer), size):
+            new = set(chain.from_iterable(images(layer[start:start + size]))) - known
+            # Checked before storing, so the partial count is cap, as above.
+            if len(known) + len(new) > cap:
+                raise CapExceededError(direction, cap, cap)
+            known |= new
+            found += new
+        layer = found
+    return len(known)
 
 
 def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:

@@ -1,6 +1,7 @@
 """Unit tests for the automata operations."""
 
 import random
+from functools import cache
 from operator import attrgetter
 
 import pytest
@@ -425,10 +426,16 @@ def _outcome(build, nfa, direction, cap):
         return "cap", exc.direction, exc.cap, exc.partial_count
 
 
+@cache
+def _reference_outcome(nfa, direction, cap):
+    """The oracle's outcome, kept for the image_path settings after the first."""
+    return _outcome(reference_determinize, nfa, direction, cap)
+
+
 def _assert_engine_matches_reference(nfa, cap=3000):
     for direction in (FORWARD, BACKWARD):
-        assert _outcome(_engine_determinize, nfa, direction, cap) == _outcome(
-            reference_determinize, nfa, direction, cap
+        assert _outcome(_engine_determinize, nfa, direction, cap) == _reference_outcome(
+            nfa, direction, cap
         )
 
 
@@ -467,6 +474,10 @@ class TestEngineMatchesReference:
 
     def test_witness_10(self):
         _assert_engine_matches_reference(witness_ufa(10))
+
+    def test_nth_letter_12(self):
+        # 13 forward and 2048 backward subsets.
+        _assert_engine_matches_reference(nth_letter_dfa(12))
 
     def test_chain_over_64_states(self):
         n = 70
@@ -518,7 +529,7 @@ class TestRowsFreeConstruction:
     just the number of subsets, with the full construction's cap outcomes."""
 
     def test_sizes_match_the_reference(self):
-        for nfa in _size_cases():
+        for nfa in _size_cases(max_nth=12):
             for direction in (FORWARD, BACKWARD):
                 assert _rows_free(nfa, direction, DEFAULT_CAP) == _reference_size(
                     nfa, direction, DEFAULT_CAP
@@ -561,6 +572,31 @@ class TestRowsFreeConstruction:
                     else:
                         assert subsets(result) == states
                         assert (result.transition_table, result.marked) == (table, marked)
+
+
+@pytest.fixture(params=[
+    (0, 1), (0, 6), (0, automata._BATCH_CELLS),
+    (64, 1), (64, 6), (64, automata._BATCH_CELLS),
+], ids=lambda p: f"columns{p[0]}-cells{p[1]}")
+def image_path(request, monkeypatch):
+    """The ways _determinize takes images besides the default: by byte
+    columns up to _COLUMN_BYTES, so 0 sends every input and 64 none of
+    these tests' inputs down the per-subset loop (with 8, the ones wider
+    than 8 bytes), in batches of one subset, of 6 // |alphabet| narrow
+    subsets (2 to 6 of them), or the default."""
+    columns, cells = request.param
+    monkeypatch.setattr(automata, "_COLUMN_BYTES", columns)
+    monkeypatch.setattr(automata, "_BATCH_CELLS", cells)
+
+
+@pytest.mark.usefixtures("image_path")
+class TestEngineOnEveryImagePath(TestEngineMatchesReference):
+    pass
+
+
+@pytest.mark.usefixtures("image_path")
+class TestRowsFreeOnEveryImagePath(TestRowsFreeConstruction):
+    pass
 
 
 def _assert_chosen_side_is_the_full_construction(nfa, cap=DEFAULT_CAP):

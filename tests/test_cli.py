@@ -468,6 +468,22 @@ def test_declared_hundred_million_states_without_transitions(tmp_path):
     assert _run_limited(["check-unambiguous", str(path)]) == (EXIT_OK, "unambiguous=yes\n", "")
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+def test_determinize_declared_hundred_million_states(tmp_path):
+    # 55 bytes.  A chunk-image memo with 256 slots per byte of a subset
+    # ended in a MemoryError traceback with exit 1; it now holds only the
+    # chunks that are used.
+    path = tmp_path / "declared.nfa"
+    path.write_text("nfa 100000000\nalphabet a\ninitial 0\nfinal 1\ntrans 0 a 1\n")
+    written = tmp_path / "d.nfa"
+    assert _run_limited(["determinize", "--direction", "fwd", str(path), "-o", str(written)]) == (
+        EXIT_OK, "n=100000000 direction=fwd states=3\n", ""
+    )
+    assert written.read_text() == (
+        "nfa 3\nalphabet a\ninitial 0\nfinal 1\ntrans 0 a 1\ntrans 1 a 2\ntrans 2 a 2\n"
+    )
+
+
 _HUGE_EDGELESS_GRAPH = """
 from ufa import count_cliques, count_cocliques, parse_graph, serialize_graph
 
