@@ -18,12 +18,10 @@ rows (bit q of row p for the pair (p, q)), stop at the witness pair and
 replay only its backward chain; larger ones search pairs one by one,
 backward only over the pairs the forward search reached.
 
-complement_construction picks the side a complement is built from.  Only
-that side keeps a transition table: the backward construction stops
-keeping rows once it has as many subsets as the forward one, since it can
-no longer be chosen, and measure_constructions keeps no rows at all.  A
-side without rows still discovers every subset, so its size and its cap
-outcome are those of the full construction.  complement_ufa turns the
+complement_construction counts both sides without rows, then builds only
+the chosen one with its transition table; measure_constructions only
+counts.  A counted side still discovers every subset, so its size and its
+cap outcome are those of the full construction.  complement_ufa turns the
 chosen side into an Nfa; the ``complement`` and ``determinize`` commands
 instead write the construction with formats.write_subset_automaton,
 straight from its transition table in time linear in the table's cells.
@@ -476,8 +474,7 @@ class SubsetAutomaton:
     automaton the edge runs from the image back to ``i``.  ``marked`` holds
     the states whose subset meets base.final (forward) or base.initial
     (backward).  Only _determinize builds instances, so the fields are not
-    re-validated; where only a side's size is wanted it builds none and
-    returns the size alone.
+    re-validated; a side that is only counted gets none.
     """
 
     base: Nfa
@@ -531,10 +528,6 @@ def _mask(states) -> int:
     return sum(1 << q for q in states)
 
 
-# Subsets of at most this many bytes get their images one byte column at a
-# time over a batch; wider ones one subset at a time, over the nonzero
-# bytes of its mask, so that a sparse subset costs what it holds.
-_COLUMN_BYTES = 8
 # A batch's images fill about this many table cells, a cell wider than 8
 # bytes counting once per 8 bytes.
 _BATCH_CELLS = 1 << 12
@@ -546,14 +539,13 @@ def _part(packed: dict, base: int, byte: int) -> int:
     return reduce(or_, [packed.get(base + i, 0) for i in range(8) if byte >> i & 1])
 
 
-def _determinize(nfa: Nfa, direction: str, cap: int, rows_until=None):
+def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
     """The subset construction in ``direction``, as a SubsetAutomaton.
 
     The breadth-first worklist is taken in batches, whose images are
-    computed together.  While fewer than ``rows_until`` subsets are known
-    (always, when it is None), each subset of a batch gets its row, and
-    its new images their numbers, in turn.  After that the subsets are
-    only counted, a layer at a time: the table and ``marked`` are dropped,
+    computed together.  With ``rows``, each subset of a batch gets its
+    row, and its new images their numbers, in turn.  Without, the subsets
+    are only counted, a layer at a time, with no table or ``marked`` set,
     and the return value is the number of subsets.
     """
     if cap < 1:
@@ -562,22 +554,19 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows_until=None):
         packed, seed, mark_against = nfa._packed(0, 2), nfa.initial, nfa.final
     else:
         packed, seed, mark_against = nfa._packed(2, 0), nfa.final, nfa.initial
-    if rows_until is None:
-        # No construction gets past cap subsets.
-        rows_until = cap + 1
     width = _byte_width(nfa.state_count)
     # packed[q] holds q's one-letter image under alphabet[j] in bytes
     # [j * width, (j + 1) * width); n * |alphabet| * width bytes in all.
     # Subsets are kept, and looked up, as unpacking an image yields them:
     # ints up to 8 bytes, little-endian bytes above.
+    narrow = width <= 8
     code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width, f"{width}s")
     fields = struct.Struct("<" + code * len(nfa.alphabet))
-    as_mask = int if width <= 8 else partial(int.from_bytes, byteorder="little")
+    as_mask = int if narrow else partial(int.from_bytes, byteorder="little")
     size = max(1, _BATCH_CELLS // ((len(nfa.alphabet) or 1) * -(-width // 8)))
     # Memos of _part, keyed by what is used, as n may be huge: per byte
-    # column i by byte on the column path, else one by 256 * i + byte.
-    by_column = width <= _COLUMN_BYTES
-    parts = [{0: 0} for _ in range((nfa.state_count + 7) // 8 or 1)] if by_column else {}
+    # column i by byte when narrow, else one by 256 * i + byte.
+    parts = [{0: 0} for _ in range((nfa.state_count + 7) // 8 or 1)] if narrow else {}
 
     def image(subset):
         mask, found = as_mask(subset), 0
@@ -593,10 +582,10 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows_until=None):
 
     def images(batch):
         """Per subset of ``batch``, its images as a tuple of fields."""
-        if by_column:
+        if narrow:
             # Stripe i holds byte i of each subset; an image is the OR of
             # the parts of its bytes.
-            joined = b"".join(batch) if width > 8 else struct.pack(f"<{len(batch)}{code}", *batch)
+            joined = struct.pack(f"<{len(batch)}{code}", *batch)
             stripes = [joined[i::width] for i in range(len(parts))]
             for i, stripe in enumerate(stripes):
                 parts[i].update((byte, _part(packed, 8 * i, byte)) for byte in set(stripe).difference(parts[i]))
@@ -606,11 +595,25 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows_until=None):
         return map(fields.unpack, map(int.to_bytes, found, repeat(fields.size), repeat("little")))
 
     subsets = list(struct.unpack("<" + code, _mask(seed).to_bytes(width, "little")))
+    if not rows:
+        known, layer = set(subsets), subsets
+        while layer:
+            found = []
+            for start in range(0, len(layer), size):
+                new = set(chain.from_iterable(images(layer[start:start + size]))) - known
+                # Checked before storing, so the partial count is cap, as
+                # when rows are kept.
+                if len(known) + len(new) > cap:
+                    raise CapExceededError(direction, cap, cap)
+                known |= new
+                found += new
+            layer = found
+        return len(known)
     index = {subsets[0]: 0}
     lookup = index.get
     table = []
     done = 0
-    while done < len(subsets) < rows_until:
+    while done < len(subsets):
         batch = subsets[done:done + size]
         done += len(batch)
         for row_images in images(batch):
@@ -629,24 +632,10 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows_until=None):
                         row[j] = target
                 row = tuple(row)
             table.append(row)
-    if len(subsets) < rows_until:
-        masks = tuple(map(as_mask, subsets))
-        against = _mask(mark_against)
-        marked = frozenset(compress(count(), map(against.__and__, masks)))
-        return SubsetAutomaton(nfa, direction, masks, tuple(table), marked)
-    known, layer = set(subsets), subsets[done:]
-    subsets = index = lookup = table = None
-    while layer:
-        found = []
-        for start in range(0, len(layer), size):
-            new = set(chain.from_iterable(images(layer[start:start + size]))) - known
-            # Checked before storing, so the partial count is cap, as above.
-            if len(known) + len(new) > cap:
-                raise CapExceededError(direction, cap, cap)
-            known |= new
-            found += new
-        layer = found
-    return len(known)
+    masks = tuple(map(as_mask, subsets))
+    against = _mask(mark_against)
+    marked = frozenset(compress(count(), map(against.__and__, masks)))
+    return SubsetAutomaton(nfa, direction, masks, tuple(table), marked)
 
 
 def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:
@@ -666,39 +655,6 @@ def backward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:
     backward-deterministic and hence unambiguous.
     """
     return _determinize(nfa, BACKWARD, cap)
-
-
-def _caught(construct, *args):
-    """``construct(*args)``, or the CapExceededError it raised."""
-    try:
-        return construct(*args)
-    except CapExceededError as exc:
-        # The traceback would keep the abandoned construction's frames, up
-        # to ``cap`` subsets, alive while the other side runs.
-        return exc.with_traceback(None)
-
-
-def _both_constructions(nfa: Nfa, cap: int) -> tuple:
-    """Run the forward and then the backward construction.
-
-    Returns (forward, backward), each the SubsetAutomaton or the
-    CapExceededError that side raised, except that a backward side with at
-    least k subsets, the forward size, is just its size, an int: ties keep
-    forward, so it cannot be chosen, and it keeps no rows from k subsets
-    on.  forward_determinize is looked up when called, not bound once, so
-    a wrapper installed on it sees the forward side; the backward side
-    runs _determinize directly.
-    """
-    forward = _caught(forward_determinize, nfa, cap)
-    rows_until = None if isinstance(forward, CapExceededError) else forward.state_count
-    return forward, _caught(_determinize, nfa, BACKWARD, cap, rows_until)
-
-
-def _size(side):
-    """A _both_constructions side's state count, None for a cap hit."""
-    if isinstance(side, CapExceededError):
-        return None
-    return side if isinstance(side, int) else side.state_count
 
 
 @dataclass(frozen=True)
@@ -750,14 +706,14 @@ class BoundReport:
 
 
 def measure_constructions(nfa: Nfa, cap: int = DEFAULT_CAP) -> BoundReport:
-    """Run both constructions on ``nfa`` and report both sizes.
+    """Count both constructions on ``nfa`` and report both sizes.
 
-    Neither side keeps a transition table.  A side that exceeds ``cap``
+    Neither side builds a transition table.  A side that exceeds ``cap``
     raises its CapExceededError, with its partial count; the forward side
     runs first, so its error stops the backward side from starting.
     """
-    k = _determinize(nfa, FORWARD, cap, 0)
-    l = _determinize(nfa, BACKWARD, cap, 0)
+    k = _determinize(nfa, FORWARD, cap, rows=False)
+    l = _determinize(nfa, BACKWARD, cap, rows=False)
     return BoundReport(nfa.state_count, k, l)
 
 
@@ -765,10 +721,11 @@ def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
     """The subset construction whose swapped marking complements an
     unambiguous automaton.
 
-    Runs both subset constructions and keeps the smaller (ties keep
-    forward), the only one built with a transition table; it has min(k, l)
-    states, which for unambiguous input never exceeds
-    sqrt(n + 1) * 2**(n / 2).  Returns (SubsetAutomaton, BoundReport).
+    Counts both subset constructions, then builds only the smaller (ties
+    keep forward) with its transition table, through forward_determinize
+    or backward_determinize; it has min(k, l) states, which for
+    unambiguous input never exceeds sqrt(n + 1) * 2**(n / 2).  Returns
+    (SubsetAutomaton, BoundReport).
 
     Raises AmbiguousAutomatonError (carrying a witness word) when the input
     is ambiguous.  A side that exceeds ``cap`` is dropped from the choice
@@ -778,12 +735,17 @@ def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
     ok, witness = is_unambiguous(nfa)
     if not ok:
         raise AmbiguousAutomatonError(witness)
-    forward, backward = _both_constructions(nfa, cap)
-    k, l = _size(forward), _size(backward)
-    if k is None and l is None:
+    sizes = []
+    for direction in (FORWARD, BACKWARD):
+        try:
+            sizes.append(_determinize(nfa, direction, cap, rows=False))
+        except CapExceededError:
+            sizes.append(None)
+    if sizes == [None, None]:
         raise CapExceededError("both", cap, cap)
-    report = BoundReport(nfa.state_count, k, l)
-    return (forward if report.chosen == FORWARD else backward), report
+    report = BoundReport(nfa.state_count, *sizes)
+    construct = forward_determinize if report.chosen == FORWARD else backward_determinize
+    return construct(nfa, cap), report
 
 
 def complement_ufa(nfa: Nfa, cap: int = DEFAULT_CAP):

@@ -23,7 +23,7 @@ from ufa import (
     measure_constructions,
 )
 from ufa import automata
-from ufa.automata import _both_constructions, _pair_search, _unambiguity
+from ufa.automata import _pair_search, _unambiguity
 from ufa.bridge import witness_ufa
 from helpers import (
     a_plus,
@@ -502,7 +502,7 @@ class TestEngineMatchesReference:
 
 
 def _rows_free(nfa, direction, cap):
-    return automata._determinize(nfa, direction, cap, 0)
+    return automata._determinize(nfa, direction, cap, rows=False)
 
 
 def _reference_size(nfa, direction, cap):
@@ -525,8 +525,8 @@ def _size_cases(max_witness=10, max_nth=10):
 
 
 class TestRowsFreeConstruction:
-    """_determinize past its rows_until count keeps no rows and returns
-    just the number of subsets, with the full construction's cap outcomes."""
+    """_determinize without rows keeps no table and returns just the
+    number of subsets, with the full construction's cap outcomes."""
 
     def test_sizes_match_the_reference(self):
         for nfa in _size_cases(max_nth=12):
@@ -561,32 +561,41 @@ class TestRowsFreeConstruction:
                     full_report, nfa, cap
                 )
 
-    def test_rows_are_kept_only_below_rows_until(self):
+    def test_rows_give_the_construction_and_no_rows_its_size(self):
         for nfa in _size_cases(max_witness=5, max_nth=6):
             for direction in (FORWARD, BACKWARD):
                 states, table, _, marked = reference_determinize(nfa, direction, DEFAULT_CAP)
-                for rows_until in range(len(states) + 2):
-                    result = automata._determinize(nfa, direction, DEFAULT_CAP, rows_until)
-                    if rows_until <= len(states):
-                        assert result == len(states)
-                    else:
-                        assert subsets(result) == states
-                        assert (result.transition_table, result.marked) == (table, marked)
+                assert automata._determinize(nfa, direction, DEFAULT_CAP, rows=False) == len(states)
+                result = automata._determinize(nfa, direction, DEFAULT_CAP, rows=True)
+                assert subsets(result) == states
+                assert (result.transition_table, result.marked) == (table, marked)
+
+
+def _padded(nfa, states) -> Nfa:
+    """``nfa`` with ``states`` more states that have no transitions: the
+    same subsets and tables, in wider fields."""
+    return Nfa(nfa.state_count + states, nfa.alphabet, nfa.transitions, nfa.initial, nfa.final)
 
 
 @pytest.fixture(params=[
     (0, 1), (0, 6), (0, automata._BATCH_CELLS),
     (64, 1), (64, 6), (64, automata._BATCH_CELLS),
-], ids=lambda p: f"columns{p[0]}-cells{p[1]}")
+], ids=lambda p: f"pad{p[0]}-cells{p[1]}")
 def image_path(request, monkeypatch):
-    """The ways _determinize takes images besides the default: by byte
-    columns up to _COLUMN_BYTES, so 0 sends every input and 64 none of
-    these tests' inputs down the per-subset loop (with 8, the ones wider
-    than 8 bytes), in batches of one subset, of 6 // |alphabet| narrow
-    subsets (2 to 6 of them), or the default."""
-    columns, cells = request.param
-    monkeypatch.setattr(automata, "_COLUMN_BYTES", columns)
+    """The ways _determinize takes images: on inputs as given (byte
+    columns up to 8 bytes, the per-subset loop above) or padded with 64
+    states without transitions, which sends every input with states down
+    the per-subset loop; in batches of one subset, of 6 // |alphabet|
+    narrow subsets (2 to 6 of them), or the default."""
+    pad, cells = request.param
     monkeypatch.setattr(automata, "_BATCH_CELLS", cells)
+    if pad:
+        engine = automata._determinize
+
+        def padded(nfa, *args, **kwargs):
+            return engine(_padded(nfa, pad), *args, **kwargs)
+
+        monkeypatch.setattr(automata, "_determinize", padded)
 
 
 @pytest.mark.usefixtures("image_path")
@@ -599,16 +608,30 @@ class TestRowsFreeOnEveryImagePath(TestRowsFreeConstruction):
     pass
 
 
+def _recording_determinize(calls: list):
+    """automata._determinize, appending each call's (direction, cap, rows)
+    to ``calls``."""
+    engine = automata._determinize
+
+    def spy(nfa, direction, cap, rows=True):
+        calls.append((direction, cap, rows))
+        return engine(nfa, direction, cap, rows)
+
+    return spy
+
+
 def _assert_chosen_side_is_the_full_construction(nfa, cap=DEFAULT_CAP):
     """complement_construction's pick equals the full construction of its
-    side, and a backward side that loses to a known k keeps no table."""
-    construction, report = complement_construction(nfa, cap)
+    side, and it asks _determinize for rows once, for that side with the
+    same cap, after counting both sides."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "_determinize", _recording_determinize(calls))
+        construction, report = complement_construction(nfa, cap)
+    assert calls == [(FORWARD, cap, False), (BACKWARD, cap, False), (report.chosen, cap, True)]
     construct = forward_determinize if report.chosen == FORWARD else backward_determinize
     fields = attrgetter("direction", "masks", "transition_table", "marked")
     assert fields(construction) == fields(construct(nfa, cap))
-    _, backward = _both_constructions(nfa, cap)
-    if report.chosen == FORWARD and report.l is not None:
-        assert backward == report.l
     return report
 
 
@@ -617,7 +640,7 @@ class TestComplementKeepsOneTable:
         report = _assert_chosen_side_is_the_full_construction(witness_ufa(4))
         assert (report.k, report.l, report.chosen) == (9, 8, BACKWARD)
 
-    def test_a_tie_keeps_forward_and_drops_the_backward_table(self):
+    def test_a_tie_keeps_forward_and_builds_no_backward_table(self):
         for n in (0, 1):
             report = _assert_chosen_side_is_the_full_construction(witness_ufa(n))
             assert report.k == report.l
@@ -627,10 +650,15 @@ class TestComplementKeepsOneTable:
         report = _assert_chosen_side_is_the_full_construction(witness_ufa(2))
         assert (report.k, report.l, report.chosen) == (3, 4, FORWARD)
 
-    def test_forward_over_the_cap_keeps_every_backward_row(self):
+    def test_forward_over_the_cap_builds_backward(self):
         # witness_ufa(4) has k=9 and l=8.
         report = _assert_chosen_side_is_the_full_construction(witness_ufa(4), cap=8)
         assert (report.k, report.l, report.chosen) == (None, 8, BACKWARD)
+
+    def test_backward_over_the_cap_builds_forward(self):
+        # witness_ufa(2) has k=3 and l=4.
+        report = _assert_chosen_side_is_the_full_construction(witness_ufa(2), cap=3)
+        assert (report.k, report.l, report.chosen) == (3, None, FORWARD)
 
     def test_random_unambiguous_automata(self):
         rng = random.Random(61)
@@ -674,13 +702,6 @@ class TestComplement:
         with pytest.raises(CapExceededError) as info:
             complement_ufa(a_plus(), cap=1)
         assert info.value.direction == "both"
-
-    def test_stored_cap_errors_drop_their_tracebacks(self):
-        # A kept traceback would hold the abandoned construction's subsets
-        # in memory while the other side runs.
-        for side in _both_constructions(a_plus(), cap=1):
-            assert isinstance(side, CapExceededError)
-            assert side.__traceback__ is None
 
     def test_one_side_over_cap_uses_the_other(self):
         from ufa import witness_ufa
@@ -791,17 +812,11 @@ class TestBoundReport:
 
     def test_a_forward_cap_hit_starts_no_backward_construction(self, monkeypatch):
         started = []
-        engine = automata._determinize
-
-        def spy(nfa, direction, *args):
-            started.append(direction)
-            return engine(nfa, direction, *args)
-
-        monkeypatch.setattr(automata, "_determinize", spy)
+        monkeypatch.setattr(automata, "_determinize", _recording_determinize(started))
         # witness_ufa(2) has k=3 forward subsets.
         with pytest.raises(CapExceededError) as info:
             measure_constructions(witness_ufa(2), cap=2)
-        assert started == [FORWARD]
+        assert started == [(FORWARD, 2, False)]
         assert (info.value.direction, info.value.cap, info.value.partial_count) == (FORWARD, 2, 2)
         assert str(info.value) == (
             "state limit exceeded: forward determinization stopped after "
