@@ -95,16 +95,36 @@ def _emit(args, document: str):
 
 
 def _digits(value: int) -> str:
-    """``value`` in decimal, however long.  Python refuses int-to-str
-    conversions above a digit limit (4300 by default); (n + 1) * 2**n
-    passes it at about 14,000 states."""
+    """``value``, a nonnegative int, in decimal, however long.  Python
+    refuses int-to-str conversions above a digit limit (4300 by default);
+    (n + 1) * 2**n passes it at about 14,000 states.  Past the limit the
+    int is split at a power-of-two bit width w into hi * 2**w + lo, and the
+    halves are joined in exact decimal arithmetic, whose multiplication is
+    subquadratic."""
     try:
         return str(value)
     except ValueError:
         # Imported here so that no command pays for it at start-up.
-        from decimal import Decimal
+        from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 
-        return str(Decimal(value))
+    context = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+    powers = {}
+
+    def power(w):
+        # 2**w as a Decimal, for w a power of two of at least 8192.
+        if w not in powers:
+            half = w >> 1
+            powers[w] = context.multiply(power(half), power(half)) if w > 8192 else Decimal(1 << w)
+        return powers[w]
+
+    def convert(n):
+        if n.bit_length() <= 8192:
+            return Decimal(n)
+        w = 1 << (n.bit_length() - 1).bit_length() - 1
+        hi, lo = n >> w, n & ((1 << w) - 1)
+        return context.add(context.multiply(convert(hi), power(w)), convert(lo))
+
+    return str(convert(value))
 
 
 def _yes_no(flag: bool) -> str:

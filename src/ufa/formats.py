@@ -25,13 +25,14 @@ a text stream straight from its transition table, in time linear in the
 table's cells and without building an Nfa; its text is what
 serialize_automaton gives for the construction's Nfa view.  It writes in
 bounded pieces (one per forward row, and backward at most _SLICE lines
-of one source), so the memory it needs follows the table, not the text.
+of one source, cut from that source's array of 4-byte cell numbers), so
+the memory it needs follows the table, not the text.
 """
 
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, repeat
 from operator import sub
 
 from .automata import FORWARD, Nfa, SubsetAutomaton
@@ -170,26 +171,22 @@ def serialize_automaton(nfa: Nfa) -> str:
 # table's cells (845,952 of 1,220,736 in the backward construction of
 # witness_ufa(16)), so a piece per source would not be bounded.
 _SLICE = 1 << 15
-# About the most cells in one backward bucket array.  One array per source
-# would need one block of 3.4 MB for that source, which the memory a freed
-# construction leaves behind, in blocks the size of its rows, may not hold;
-# the process then grows by the whole block.
-_CHUNK = 1 << 12
 
 
-def _subset_automaton_pieces(construction: SubsetAutomaton, complement: bool):
-    """The canonical text of ``construction.as_nfa()``, or of
-    ``construction.as_complement_nfa()`` when ``complement`` is true, in
-    pieces written straight from the transition table.
+def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bool = False) -> None:
+    """Write the canonical text of ``construction.as_nfa()``, or of
+    ``construction.as_complement_nfa()`` when ``complement`` is true, to
+    the text stream ``stream`` in pieces written straight from the
+    transition table.
 
     Each table cell is one transition.  Forward, cell (i, j) is the edge
     from i to ``transition_table[i][j]``, so each row is one piece, already
     in canonical order.  Backward, it is the edge from
     ``transition_table[i][j]`` to i; one bucket pass over the cells, column
     by column, puts them in order of source, then column, then target, in
-    arrays of about _CHUNK cells.  Each source's cells are written in
-    slices of at most _SLICE lines, and within a slice each column's run,
-    found by bisection, is one join of its targets' strings on the
+    one array per source.  Each source's cells are written in slices of at
+    most _SLICE lines, and within a slice each column's run, found by
+    bisection, is one join of its targets' strings on the
     ``trans <source> <symbol> `` prefix.  So the time is linear in the
     cells.  State 0, the seed subset, is the initial state forward and the
     final state backward.
@@ -201,59 +198,40 @@ def _subset_automaton_pieces(construction: SubsetAutomaton, complement: bool):
     accepting = construction.unmarked if complement else construction.marked
     targets = [f"{q}\n" for q in range(size)]
     if construction.direction == FORWARD:
-        yield _automaton_header(size, alphabet, seed, accepting)
+        stream.write(_automaton_header(size, alphabet, seed, accepting))
         parts = [None] * (3 * width)
         parts[1::3] = [f"{symbol} " for symbol in alphabet]
         for source, row in enumerate(table):
             parts[0::3] = repeat(f"trans {source} ", width)
             parts[2::3] = map(targets.__getitem__, row)
-            yield "".join(parts)
+            stream.write("".join(parts))
         return
-    yield _automaton_header(size, alphabet, accepting, seed)
-    # Cells numbered column-major, j * size + i, 4 bytes each, in arrays of
-    # about _CHUNK cells per source; each array, and a source's arrays in
-    # turn, go up by column, then target.
+    stream.write(_automaton_header(size, alphabet, accepting, seed))
+    # Cells numbered column-major, j * size + i, 4 bytes each, in one array
+    # per source that goes up by column, then target.
     buckets = [array("I") for _ in range(size)]
     appends = [bucket.append for bucket in buckets]
-    filled = {}
-    # Blocks of columns in which no bucket grows by more than max(_CHUNK, size).
-    block = max(1, _CHUNK // size)
-    columns = zip(*table)
-    for first in range(0, width, block):
-        for cell, source in enumerate(chain.from_iterable(islice(columns, block)), first * size):
-            appends[source](cell)
-        for source in compress(count(), map(_CHUNK.__le__, map(len, buckets))):
-            filled.setdefault(source, []).append(buckets[source])
-            buckets[source] = bucket = array("I")
-            appends[source] = bucket.append
-    for source, bucket in enumerate(buckets):
-        piece, lines = [], 0
-        for cells in chain(filled.get(source, ()), (bucket,)):
-            start = 0
-            while start < len(cells):
-                # One join for a run of cells in one column, up to the end
-                # of the piece.
-                column = cells[start] // size
-                base = column * size
-                stop = min(len(cells), start + _SLICE - lines)
-                end = bisect_left(cells, base + size, start, stop)
-                prefix = f"trans {source} {alphabet[column]} "
-                run = map(targets.__getitem__, map(sub, cells[start:end], repeat(base)))
-                piece.append(prefix + prefix.join(run))
-                lines += end - start
-                start = end
-                if lines == _SLICE:
-                    yield "".join(piece)
-                    piece, lines = [], 0
+    for cell, source in enumerate(chain.from_iterable(zip(*table))):
+        appends[source](cell)
+    for source, cells in enumerate(buckets):
+        piece, lines, start = [], 0, 0
+        while start < len(cells):
+            # One join for a run of cells in one column, up to the end of
+            # the piece.
+            column = cells[start] // size
+            base = column * size
+            stop = min(len(cells), start + _SLICE - lines)
+            end = bisect_left(cells, base + size, start, stop)
+            prefix = f"trans {source} {alphabet[column]} "
+            run = map(targets.__getitem__, map(sub, cells[start:end], repeat(base)))
+            piece.append(prefix + prefix.join(run))
+            lines += end - start
+            start = end
+            if lines == _SLICE:
+                stream.write("".join(piece))
+                piece, lines = [], 0
         if piece:
-            yield "".join(piece)
-
-
-def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bool = False) -> None:
-    """Write the canonical text of ``construction.as_nfa()``, or of
-    ``construction.as_complement_nfa()`` when ``complement`` is true, to
-    the text stream ``stream`` in bounded pieces."""
-    stream.writelines(_subset_automaton_pieces(construction, complement))
+            stream.write("".join(piece))
 
 
 def parse_graph(text: str) -> Graph:

@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from ufa import (
     serialize_graph,
 )
 from ufa.bridge import graph_to_ufa, witness_ufa
-from ufa.cli import EXIT_CAP, EXIT_OK, EXIT_PRECONDITION, EXIT_VIOLATION
+from ufa.cli import EXIT_CAP, EXIT_OK, EXIT_PRECONDITION, EXIT_VIOLATION, _digits
 from helpers import complete_graph, language, run_cli
 
 A_PLUS = "nfa 2\nalphabet a\ninitial 0\nfinal 1\ntrans 0 a 1\ntrans 1 a 1\n"
@@ -533,6 +533,70 @@ class TestIsolatedVerticesAreFactoredOut:
             f"min_sq={cliques**2} holds=yes\n",
             "",
         )
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("bits", [10**5, 10**6])
+@pytest.mark.parametrize(
+    "make",
+    [lambda k: (k + 1) << k, lambda k: (1 << k) - 12345, lambda k: 3 ** (k * 1000 // 1585)],
+    ids=["bound", "below_a_power_of_two", "power_of_three"],
+)
+def test_digits_past_the_limit_match_str(bits, make):
+    value = make(bits)
+    # str() with the digit limit lifted, and the limit restored before
+    # _digits runs.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert _digits(value) == expected
+
+
+def _assert_decimal_of(text: str, factor: int, n: int) -> None:
+    """``text`` is ``factor * 2**n`` in decimal: its length and leading
+    digits from a 50-digit decimal power, and its last 30 digits."""
+    context = Context(prec=50, Emax=MAX_EMAX)
+    lead = context.multiply(factor, context.power(2, n))
+    assert len(text) == lead.adjusted() + 1
+    assert text[:30] == "".join(map(str, lead.as_tuple().digits[:30]))
+    assert text[-30:] == str((factor << n) % 10**30).zfill(30)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+class TestHugeCountsPrintInSubquadraticTime:
+    """Counts of millions of digits print within 1 GB and 60 s.  Converting
+    them with Decimal(value) took time quadratic in the digit count, and
+    both commands ran past 60 s."""
+
+    def test_complement_of_ten_million_declared_states(self, tmp_path):
+        path = tmp_path / "declared.nfa"
+        path.write_text("nfa 10000000\nalphabet a\ninitial 0\nfinal 1\ntrans 0 a 1\n")
+        written = tmp_path / "c.nfa"
+        code, out, err = _run_limited(["complement", str(path), "-o", str(written)])
+        assert (code, err) == (EXIT_OK, "")
+        summary, _, bound_sq = out.rstrip("\n").rpartition("=")
+        assert summary == "n=10000000 k=3 l=3 chosen=fwd states=3 bound_sq"
+        _assert_decimal_of(bound_sq, 10000001, 10000000)
+        assert written.read_text() == (
+            "nfa 3\nalphabet a\ninitial 0\nfinal 0 2\ntrans 0 a 1\ntrans 1 a 2\ntrans 2 a 2\n"
+        )
+
+    def test_count_cliques_on_ten_million_isolated_vertices(self, tmp_path):
+        path = tmp_path / "edgeless.graph"
+        path.write_text("graph 10000000\n")
+        code, out, err = _run_limited(["count-cliques", str(path)])
+        assert (code, err) == (EXIT_OK, "")
+        fields = dict(field.split("=") for field in out.split())
+        assert list(fields) == ["n", "cliques", "cocliques", "product", "bound", "min_sq", "holds"]
+        assert (fields["n"], fields["cliques"], fields["min_sq"], fields["holds"]) == (
+            "10000000", "10000001", str(10000001**2), "yes"
+        )
+        _assert_decimal_of(fields["cocliques"], 1, 10000000)
+        _assert_decimal_of(fields["product"], 10000001, 10000000)
+        assert fields["bound"] == fields["product"]
 
 
 _TIMED_PAIR_SEARCH = """

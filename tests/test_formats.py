@@ -263,17 +263,27 @@ class TestSerializeSubsetAutomaton:
         _assert_written_from_the_table(witness_ufa(5))
         _assert_written_from_the_table(_wide_automaton(40))
 
-    @pytest.mark.parametrize("chunk_cells", [1, 2, 5, 64])
+    @pytest.mark.parametrize("bucket_cells", [1, 2, 5, 64])
     @pytest.mark.parametrize("slice_lines", [1, 3, 7])
-    def test_every_bucket_chunk_boundary(self, monkeypatch, chunk_cells, slice_lines):
-        # Chunks smaller and larger than a slice, so that runs and slices
-        # both cross the ends of the bucket arrays.
-        monkeypatch.setattr(formats, "_CHUNK", chunk_cells)
+    def test_every_bucket_chunk_boundary(self, monkeypatch, bucket_cells, slice_lines):
+        # One state looping on bucket_cells letters: the backward
+        # construction's one source owns a bucket array of exactly
+        # bucket_cells cells, so its end falls on, before and after the
+        # end of a slice.  Each slice is one piece, the last one holding
+        # what is left.
         monkeypatch.setattr(formats, "_SLICE", slice_lines)
+        alphabet = tuple(f"s{i}" for i in range(bucket_cells))
+        nfa = Nfa(1, alphabet, {(0, a, 0) for a in alphabet}, {0}, {0})
+        stream = _Pieces()
+        write_subset_automaton(backward_determinize(nfa), stream)
+        full, rest = divmod(bucket_cells, slice_lines)
+        assert [len(piece.splitlines()) for piece in stream.pieces[1:]] == (
+            [slice_lines] * full + [rest] * (rest > 0)
+        )
+        _assert_written_from_the_table(nfa)
         rng = random.Random(41)
         for _ in range(20):
             _assert_written_from_the_table(random_nfa_any(rng))
-        _assert_written_from_the_table(witness_ufa(5))
         _assert_written_from_the_table(_wide_automaton(40))
 
     def test_forward_pieces_are_the_rows(self):
