@@ -19,15 +19,18 @@ replay only its backward chain; larger ones search pairs one by one,
 backward only over the pairs the forward search reached.
 
 complement_construction counts both sides without rows, then builds only
-the chosen one with its transition table; measure_constructions only
-counts.  A counted side still discovers every subset, so its size and its
-cap outcome are those of the full construction.  complement_ufa turns the
-chosen side into an Nfa; the ``complement`` and ``determinize`` commands
-instead write the construction with formats.write_subset_automaton,
-straight from its transition table in time linear in the table's cells.
+the chosen one with its transition table, one flat array of 4-byte
+cells; measure_constructions only counts.  A counted side still
+discovers every subset, so its size and its cap outcome are those of the
+full construction.  complement_ufa turns the chosen side into an Nfa
+without re-validating its triples; the ``complement`` and
+``determinize`` commands instead write the construction with
+formats.write_subset_automaton, straight from its cells in time linear
+in their number.
 """
 
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import chain, compress, count, repeat
@@ -113,6 +116,15 @@ class Nfa:
             self._check_state(dst, "transition target")
             if sym not in seen:
                 raise ValueError(f"transition symbol not in alphabet: {sym!r}")
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance of field ``values`` that are valid and of the stored
+        types (a tuple, frozensets): __post_init__'s pass over every triple
+        is skipped."""
+        nfa = object.__new__(cls)
+        vars(nfa).update(zip(cls.__dataclass_fields__, values))
+        return nfa
 
     def _check_state(self, q, role: str):
         if not isinstance(q, int) or q < 0 or q >= self.state_count:
@@ -454,8 +466,12 @@ def is_unambiguous(nfa: Nfa):
     words (Weber & Seidl, TCS 1991); both sides are searched over state
     pairs, so no words are enumerated (see _unambiguity).  Returns (True,
     None) or (False, witness) where the witness word has at least two
-    accepting runs.
+    accepting runs.  An input with at most one initial state and at most
+    one successor per (state, letter) has at most one run per word, and
+    is answered yes without a pair search.
     """
+    if len(nfa.initial) <= 1 and len({t[:2] for t in nfa.transitions}) == len(nfa.transitions):
+        return True, None
     _, witness = _unambiguity(nfa)
     return witness is None, witness
 
@@ -468,36 +484,46 @@ class SubsetAutomaton:
     order, each as an int with bit q set iff base state q is a member; only
     subsets actually reached appear (the empty subset, mask 0, included
     exactly when it is reached).  State 0 is the seed subset: the initial
-    set forward, the final set backward.  ``transition_table[i][j]``
-    is the image of state ``i`` under ``base.alphabet[j]``; in the backward
-    direction the image is the one-letter preimage, so viewed as an
-    automaton the edge runs from the image back to ``i``.  ``marked`` holds
-    the states whose subset meets base.final (forward) or base.initial
-    (backward).  Only _determinize builds instances, so the fields are not
-    re-validated; a side that is only counted gets none.
+    set forward, the final set backward.  ``cells`` is the transition
+    table, row-major in one ``array("I")`` of 4 bytes a cell:
+    ``cells[i * w + j]``, with ``w = len(base.alphabet)``, is the image of
+    state ``i`` under ``base.alphabet[j]``; in the backward direction the
+    image is the one-letter preimage, so viewed as an automaton the edge
+    runs from the image back to ``i``.  ``marked`` holds the states whose
+    subset meets base.final (forward) or base.initial (backward).  Only
+    _determinize builds instances, so the fields are not re-validated; a
+    side that is only counted gets none.
     """
 
     base: Nfa
     direction: str
     masks: tuple
-    transition_table: tuple
+    cells: array
     marked: frozenset
 
     @property
     def state_count(self) -> int:
         return len(self.masks)
 
+    @property
+    def transition_table(self) -> tuple:
+        """``cells`` as a tuple of row tuples, ``transition_table[i][j]``
+        for ``cells[i * w + j]``: a copy, built in O(cells) on every
+        access."""
+        w = len(self.base.alphabet)
+        return tuple(tuple(self.cells[i * w:(i + 1) * w]) for i in range(self.state_count))
+
     def _to_nfa(self, marked) -> Nfa:
-        forward = self.direction == FORWARD
-        # Built as a frozenset so that Nfa keeps it instead of copying it.
-        triples = frozenset(
-            (i, a, j) if forward else (j, a, i)
-            for i, row in enumerate(self.transition_table)
-            for a, j in zip(self.base.alphabet, row)
-        )
+        alphabet = self.base.alphabet
+        # Each cell's row number and letter, in the cells' order.
+        rows = chain.from_iterable(map(repeat, range(self.state_count), repeat(len(alphabet))))
+        letters = chain.from_iterable(repeat(alphabet, self.state_count))
         seed = frozenset({0})
-        initial, final = (seed, marked) if forward else (marked, seed)
-        return Nfa(self.state_count, self.base.alphabet, triples, initial, final)
+        if self.direction == FORWARD:
+            triples, initial, final = zip(rows, letters, self.cells), seed, marked
+        else:
+            triples, initial, final = zip(self.cells, letters, rows), marked, seed
+        return Nfa._trusted(self.state_count, alphabet, frozenset(triples), initial, final)
 
     def as_nfa(self) -> Nfa:
         """The construction as a plain automaton for the base language.
@@ -544,9 +570,11 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
 
     The breadth-first worklist is taken in batches, whose images are
     computed together.  With ``rows``, each subset of a batch gets its
-    row, and its new images their numbers, in turn.  Without, the subsets
-    are only counted, a layer at a time, with no table or ``marked`` set,
-    and the return value is the number of subsets.
+    row, and its new images their numbers, in turn; each row is appended
+    to the construction's ``cells``, one row-major ``array("I")``.
+    Without, the subsets are only counted, a layer at a time, with no
+    table or ``marked`` set, and the return value is the number of
+    subsets.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -611,15 +639,14 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
         return len(known)
     index = {subsets[0]: 0}
     lookup = index.get
-    table = []
+    cells = array("I")
     done = 0
     while done < len(subsets):
         batch = subsets[done:done + size]
         done += len(batch)
         for row_images in images(batch):
-            row = tuple(map(lookup, row_images))
+            row = list(map(lookup, row_images))
             if None in row:
-                row = list(row)
                 for j, target in enumerate(row):
                     if target is None:
                         new = row_images[j]
@@ -630,12 +657,11 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
                             target = index[new] = len(subsets)
                             subsets.append(new)
                         row[j] = target
-                row = tuple(row)
-            table.append(row)
+            cells.fromlist(row)
     masks = tuple(map(as_mask, subsets))
     against = _mask(mark_against)
     marked = frozenset(compress(count(), map(against.__and__, masks)))
-    return SubsetAutomaton(nfa, direction, masks, tuple(table), marked)
+    return SubsetAutomaton(nfa, direction, masks, cells, marked)
 
 
 def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:

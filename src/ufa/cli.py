@@ -192,8 +192,12 @@ def cmd_count_cliques(args) -> int:
     holds = report.holds and report.min_holds
     names = ("cliques", "cocliques", "product", "bound", "min_sq")
     values = (report.cliques, report.cocliques, report.product, report.bound, report.min_count**2)
-    fields = " ".join(f"{name}={_digits(value)}" for name, value in zip(names, values))
-    print(f"n={report.n} {fields} holds={_yes_no(holds)}")
+    # One field at a time, so that only one number's digits are alive.
+    sys.stdout.write(f"n={report.n}")
+    for name, value in zip(names, values):
+        sys.stdout.write(f" {name}=")
+        sys.stdout.write(_digits(value))
+    sys.stdout.write(f" holds={_yes_no(holds)}\n")
     return EXIT_OK if holds else EXIT_VIOLATION
 
 

@@ -21,12 +21,12 @@ then target, edges lexicographic with u < v), so parse and serialize are
 mutually inverse and repeated runs are byte-identical.
 
 write_subset_automaton writes a subset construction, or its complement, to
-a text stream straight from its transition table, in time linear in the
-table's cells and without building an Nfa; its text is what
-serialize_automaton gives for the construction's Nfa view.  It writes in
-bounded pieces (one per forward row, and backward at most _SLICE lines
-of one source, cut from that source's array of 4-byte cell numbers), so
-the memory it needs follows the table, not the text.
+a text stream straight from its row-major array of cells, in time linear
+in the cells and without building an Nfa or a tuple of rows; its text is
+what serialize_automaton gives for the construction's Nfa view.  It
+writes in bounded pieces (one per forward row, and backward at most
+_SLICE lines of one source, cut from that source's array of 4-byte cell
+numbers), so the memory it needs follows the cells, not the text.
 """
 
 import sys
@@ -176,22 +176,23 @@ _SLICE = 1 << 15
 def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bool = False) -> None:
     """Write the canonical text of ``construction.as_nfa()``, or of
     ``construction.as_complement_nfa()`` when ``complement`` is true, to
-    the text stream ``stream`` in pieces written straight from the
-    transition table.
+    the text stream ``stream`` in pieces written straight from
+    ``construction.cells``.
 
-    Each table cell is one transition.  Forward, cell (i, j) is the edge
-    from i to ``transition_table[i][j]``, so each row is one piece, already
-    in canonical order.  Backward, it is the edge from
-    ``transition_table[i][j]`` to i; one bucket pass over the cells, column
-    by column, puts them in order of source, then column, then target, in
-    one array per source.  Each source's cells are written in slices of at
-    most _SLICE lines, and within a slice each column's run, found by
-    bisection, is one join of its targets' strings on the
+    Each cell is one transition.  Forward, cell (i, j) is the edge from i
+    to ``cells[i * w + j]`` (``w`` letters), so each row, the slice
+    ``cells[i * w:(i + 1) * w]``, is one piece, already in canonical
+    order.  Backward, it is the edge from ``cells[i * w + j]`` to i; one
+    bucket pass over the cells, column by column (the strided slices
+    ``cells[j::w]``), puts them in order of source, then column, then
+    target, in one array per source.  Each source's cells are written in
+    slices of at most _SLICE lines, and within a slice each column's run,
+    found by bisection, is one join of its targets' strings on the
     ``trans <source> <symbol> `` prefix.  So the time is linear in the
     cells.  State 0, the seed subset, is the initial state forward and the
     final state backward.
     """
-    table = construction.transition_table
+    table = construction.cells
     alphabet = construction.base.alphabet
     size, width = construction.state_count, len(alphabet)
     seed = (0,)
@@ -201,9 +202,9 @@ def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bo
         stream.write(_automaton_header(size, alphabet, seed, accepting))
         parts = [None] * (3 * width)
         parts[1::3] = [f"{symbol} " for symbol in alphabet]
-        for source, row in enumerate(table):
+        for source in range(size):
             parts[0::3] = repeat(f"trans {source} ", width)
-            parts[2::3] = map(targets.__getitem__, row)
+            parts[2::3] = map(targets.__getitem__, table[source * width:(source + 1) * width])
             stream.write("".join(parts))
         return
     stream.write(_automaton_header(size, alphabet, accepting, seed))
@@ -211,7 +212,7 @@ def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bo
     # per source that goes up by column, then target.
     buckets = [array("I") for _ in range(size)]
     appends = [bucket.append for bucket in buckets]
-    for cell, source in enumerate(chain.from_iterable(zip(*table))):
+    for cell, source in enumerate(chain.from_iterable(table[j::width] for j in range(width))):
         appends[source](cell)
     for source, cells in enumerate(buckets):
         piece, lines, start = [], 0, 0

@@ -1,6 +1,7 @@
 """Unit tests for the automata operations."""
 
 import random
+from array import array
 from functools import cache
 from operator import attrgetter
 
@@ -127,6 +128,51 @@ class TestIsUnambiguous:
                 assert witness is None
             else:
                 assert count_accepting_runs(nfa, witness) >= 2
+
+
+@pytest.fixture
+def pair_searches(monkeypatch):
+    """The automata passed to automata._unambiguity from now on."""
+    calls = []
+    engine = automata._unambiguity
+
+    def spy(nfa):
+        calls.append(nfa)
+        return engine(nfa)
+
+    monkeypatch.setattr(automata, "_unambiguity", spy)
+    return calls
+
+
+class TestDeterministicFastPath:
+    def test_dfas_are_answered_without_a_pair_search(self, pair_searches):
+        rng = random.Random(61)
+        for _ in range(100):
+            n, letters = rng.randint(1, 40), rng.randint(1, 3)
+            targets, start, final = _random_dfa(rng, n, letters)
+            alphabet = tuple("abc"[:letters])
+            # Some cells dropped: a partial DFA is deterministic too.
+            transitions = {
+                (q, a, targets[q][j]) for q in range(n) for j, a in enumerate(alphabet) if rng.random() < 0.9
+            }
+            initial = {start} if rng.random() < 0.9 else set()
+            nfa = Nfa(n, alphabet, transitions, initial, final)
+            assert reference_is_unambiguous(nfa) == (True, None)
+            assert is_unambiguous(nfa) == (True, None)
+        assert pair_searches == []
+
+    def test_two_initial_states_still_search(self, pair_searches):
+        # No transitions, but the empty word has a run from each initial
+        # state, both accepting.
+        nfa = Nfa(2, ("a",), set(), {0, 1}, {0, 1})
+        assert is_unambiguous(nfa) == (False, ())
+        assert pair_searches == [nfa]
+
+    def test_two_successors_still_search(self, pair_searches):
+        # One initial state, but state 0 has two a-successors.
+        nfa = Nfa(3, ("a",), {(0, "a", 1), (0, "a", 2)}, {0}, {1, 2})
+        assert is_unambiguous(nfa) == reference_is_unambiguous(nfa) == (False, ("a",))
+        assert pair_searches == [nfa]
 
 
 def _random_automaton(rng) -> Nfa:
@@ -291,7 +337,9 @@ class TestPairSearchAgainstTheOracle:
             for bits, per_pair in ((size, False), (size - 1, True)):
                 monkeypatch.setattr(automata, "_PAIR_BITS", bits)
                 fresh = Nfa(nfa.state_count, nfa.alphabet, nfa.transitions, nfa.initial, nfa.final)
-                assert is_unambiguous(fresh) == (True, None)
+                # _unambiguity itself: is_unambiguous answers the DFA before
+                # either path runs.
+                assert _unambiguity(fresh)[1] is None
                 assert ("_succ" in vars(fresh), "_pred" in vars(fresh)) == (per_pair, per_pair)
 
     def test_planted_twins_are_found(self):
@@ -598,8 +646,38 @@ def image_path(request, monkeypatch):
         monkeypatch.setattr(automata, "_determinize", padded)
 
 
+def _flat_cell_cases():
+    rng = random.Random(23)
+    return (
+        [random_nfa(rng) for _ in range(40)]
+        + [_random_automaton(rng) for _ in range(40)]
+        + [witness_ufa(n) for n in range(7)]
+        + [nth_letter_dfa(n) for n in range(2, 9)]
+    )
+
+
+class TestFlatCells:
+    def test_cells_are_the_reference_table_row_major(self):
+        for nfa in _flat_cell_cases():
+            width = len(nfa.alphabet)
+            for direction in (FORWARD, BACKWARD):
+                _, table, _, _ = reference_determinize(nfa, direction, DEFAULT_CAP)
+                construct = forward_determinize if direction == FORWARD else backward_determinize
+                result = construct(nfa)
+                cells = result.cells
+                assert isinstance(cells, array) and cells.typecode == "I"
+                assert len(cells) == result.state_count * width
+                rows = tuple(tuple(cells[i * width:(i + 1) * width]) for i in range(result.state_count))
+                assert rows == result.transition_table == table
+
+
 @pytest.mark.usefixtures("image_path")
 class TestEngineOnEveryImagePath(TestEngineMatchesReference):
+    pass
+
+
+@pytest.mark.usefixtures("image_path")
+class TestFlatCellsOnEveryImagePath(TestFlatCells):
     pass
 
 
@@ -669,6 +747,58 @@ class TestComplementKeepsOneTable:
                 report = _assert_chosen_side_is_the_full_construction(nfa)
                 differences.add(report.l - report.k)
         assert {-1, 0, 1} <= differences
+
+
+def _validated_view(construction, accepting) -> Nfa:
+    """The construction as a checked Nfa, its triples read off
+    ``transition_table``."""
+    alphabet = construction.base.alphabet
+    forward = construction.direction == FORWARD
+    triples = {
+        (i, a, j) if forward else (j, a, i)
+        for i, row in enumerate(construction.transition_table)
+        for a, j in zip(alphabet, row)
+    }
+    initial, final = ({0}, accepting) if forward else (accepting, {0})
+    return Nfa(construction.state_count, alphabet, triples, initial, final)
+
+
+class TestTrustedNfaView:
+    """as_nfa and as_complement_nfa skip Nfa's checks; they must give the
+    automaton that the checked constructor gives."""
+
+    def _assert_views_are_validated(self, nfa, words=()):
+        for construct in (forward_determinize, backward_determinize):
+            construction = construct(nfa)
+            views = (
+                (construction.as_nfa(), construction.marked),
+                (construction.as_complement_nfa(), construction.unmarked),
+            )
+            for view, accepting in views:
+                expected = _validated_view(construction, accepting)
+                assert view == expected and hash(view) == hash(expected)
+                assert type(view.alphabet) is tuple
+                assert {type(view.transitions), type(view.initial), type(view.final)} == {frozenset}
+                for word in words:
+                    assert count_accepting_runs(view, word) == count_accepting_runs(expected, word)
+
+    def test_random_ufas(self):
+        rng = random.Random(43)
+        checked = 0
+        while checked < 60:
+            nfa = random_nfa(rng)
+            if is_unambiguous(nfa)[0]:
+                words = [tuple(rng.choice(nfa.alphabet) for _ in range(rng.randint(0, 4))) for _ in range(5)]
+                self._assert_views_are_validated(nfa, words)
+                checked += 1
+
+    def test_witness_up_to_10(self):
+        for n in range(11):
+            self._assert_views_are_validated(witness_ufa(n))
+
+    def test_nth_letter_up_to_12(self):
+        for n in range(2, 13):
+            self._assert_views_are_validated(nth_letter_dfa(n), [("a",) * n, ("b",) * n])
 
 
 class TestComplement:
