@@ -8,10 +8,11 @@ operation returns new values.
 The subset constructions represent a subset of base states as an int mask
 (bit q set iff state q is a member).  Each base state's one-letter images
 for all letters are packed into one int, and a subset's images are the OR
-of memoized chunk images, one per byte of its mask, unpacked into
-per-letter fields by ``struct``.  Subsets are stepped in batches: masks of
-up to 8 bytes one byte column of the whole batch at a time, wider ones one
-mask at a time over its nonzero bytes.
+of memoized chunk images, one per byte of its mask.  Subsets are stepped
+in batches: masks of up to 8 bytes one byte column of the whole batch at a
+time, wider ones one mask at a time over its nonzero bytes.  One ``struct``
+call unpacks a batch's images into one flat tuple of per-letter fields,
+which one set counts or one lookup pass numbers.
 
 is_unambiguous works on pairs of states.  Small inputs keep them as packed
 rows (bit q of row p for the pair (p, q)), stop at the witness pair and
@@ -121,7 +122,8 @@ class Nfa:
     def _trusted(cls, *values):
         """An instance of field ``values`` that are valid and of the stored
         types (a tuple, frozensets): __post_init__'s pass over every triple
-        is skipped."""
+        is skipped.  For the parser, which checks every rule as it reads,
+        and for a construction's own cells."""
         nfa = object.__new__(cls)
         vars(nfa).update(zip(cls.__dataclass_fields__, values))
         return nfa
@@ -565,15 +567,34 @@ def _part(packed: dict, base: int, byte: int) -> int:
     return reduce(or_, [packed.get(base + i, 0) for i in range(8) if byte >> i & 1])
 
 
+class _Numbering(dict):
+    """The state numbers of a construction's ``subsets``, a list it
+    extends: a subset looked up for the first time is numbered next,
+    after the cap check."""
+
+    def __init__(self, subsets: list, direction: str, cap: int):
+        super().__init__(zip(subsets, count()))
+        self.subsets, self.direction, self.cap = subsets, direction, cap
+
+    def __missing__(self, subset):
+        number = len(self.subsets)
+        if number >= self.cap:
+            raise CapExceededError(self.direction, self.cap, number)
+        self[subset] = number
+        self.subsets.append(subset)
+        return number
+
+
 def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
     """The subset construction in ``direction``, as a SubsetAutomaton.
 
     The breadth-first worklist is taken in batches, whose images are
-    computed together.  With ``rows``, each subset of a batch gets its
-    row, and its new images their numbers, in turn; each row is appended
-    to the construction's ``cells``, one row-major ``array("I")``.
-    Without, the subsets are only counted, a layer at a time, with no
-    table or ``marked`` set, and the return value is the number of
+    computed together, row-major in one flat tuple.  With ``rows``, one
+    pass of _Numbering lookups turns a batch's images into its rows, a
+    new subset numbered where it first occurs, and appends them to the
+    construction's ``cells``, one row-major ``array("I")``.  Without, the
+    subsets are only counted, a layer at a time and a set per batch, with
+    no table or ``marked`` set, and the return value is the number of
     subsets.
     """
     if cap < 1:
@@ -589,9 +610,10 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
     # ints up to 8 bytes, little-endian bytes above.
     narrow = width <= 8
     code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width, f"{width}s")
-    fields = struct.Struct("<" + code * len(nfa.alphabet))
+    field = struct.Struct("<" + code)
+    letters = len(nfa.alphabet)
     as_mask = int if narrow else partial(int.from_bytes, byteorder="little")
-    size = max(1, _BATCH_CELLS // ((len(nfa.alphabet) or 1) * -(-width // 8)))
+    size = max(1, _BATCH_CELLS // ((letters or 1) * -(-width // 8)))
     # Memos of _part, keyed by what is used, as n may be huge: per byte
     # column i by byte when narrow, else one by 256 * i + byte.
     parts = [{0: 0} for _ in range((nfa.state_count + 7) // 8 or 1)] if narrow else {}
@@ -609,7 +631,8 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
         return found
 
     def images(batch):
-        """Per subset of ``batch``, its images as a tuple of fields."""
+        """The images of the subsets of ``batch``, row-major in one flat
+        tuple: ``len(alphabet)`` fields per subset, in batch order."""
         if narrow:
             # Stripe i holds byte i of each subset; an image is the OR of
             # the parts of its bytes.
@@ -620,15 +643,18 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
             found = reduce(partial(map, or_), map(map, (part.__getitem__ for part in parts), stripes))
         else:
             found = map(image, batch)
-        return map(fields.unpack, map(int.to_bytes, found, repeat(fields.size), repeat("little")))
+        joined = b"".join(map(int.to_bytes, found, repeat(letters * width), repeat("little")))
+        if narrow:
+            return struct.unpack(f"<{len(batch) * letters}{code}", joined)
+        return tuple(chain.from_iterable(field.iter_unpack(joined)))
 
-    subsets = list(struct.unpack("<" + code, _mask(seed).to_bytes(width, "little")))
+    subsets = list(field.unpack(_mask(seed).to_bytes(width, "little")))
     if not rows:
         known, layer = set(subsets), subsets
         while layer:
             found = []
             for start in range(0, len(layer), size):
-                new = set(chain.from_iterable(images(layer[start:start + size]))) - known
+                new = set(images(layer[start:start + size])) - known
                 # Checked before storing, so the partial count is cap, as
                 # when rows are kept.
                 if len(known) + len(new) > cap:
@@ -637,27 +663,13 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
                 found += new
             layer = found
         return len(known)
-    index = {subsets[0]: 0}
-    lookup = index.get
+    number = _Numbering(subsets, direction, cap).__getitem__
     cells = array("I")
     done = 0
     while done < len(subsets):
         batch = subsets[done:done + size]
         done += len(batch)
-        for row_images in images(batch):
-            row = list(map(lookup, row_images))
-            if None in row:
-                for j, target in enumerate(row):
-                    if target is None:
-                        new = row_images[j]
-                        target = lookup(new)
-                        if target is None:
-                            if len(subsets) >= cap:
-                                raise CapExceededError(direction, cap, len(subsets))
-                            target = index[new] = len(subsets)
-                            subsets.append(new)
-                        row[j] = target
-            cells.fromlist(row)
+        cells.fromlist(list(map(number, images(batch))))
     masks = tuple(map(as_mask, subsets))
     against = _mask(mark_against)
     marked = frozenset(compress(count(), map(against.__and__, masks)))

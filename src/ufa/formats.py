@@ -138,10 +138,12 @@ def parse_automaton(text: str) -> Nfa:
         if symbol not in known:
             raise ParseError(f"unknown symbol {symbol!r}", line_no)
         transitions.add((src, symbol, dst))
-    return Nfa(
+    # Every rule Nfa.__post_init__ checks is checked above, and tokens are
+    # nonempty and whitespace-free.
+    return Nfa._trusted(
         state_count,
         tuple(alphabet),
-        transitions,
+        frozenset(transitions),
         state_sets["initial"],
         state_sets["final"],
     )

@@ -686,6 +686,57 @@ class TestRowsFreeOnEveryImagePath(TestRowsFreeConstruction):
     pass
 
 
+def _batch_numbering_nfa() -> Nfa:
+    """Forward, the seed's row finds {2} then {1}, two new subsets against
+    their mask order; the next batch, rows {2} then {1}, finds {1, 3} and
+    {4}, then {3} and {4} again, so {4} is new in two rows of one batch,
+    and its rows are (({1, 3}, {4}), ({3}, {4})): column by column the
+    batch would read {1, 3}, {3}, {4}, {4}."""
+    transitions = {
+        (0, "a", 2), (0, "b", 1),
+        (2, "a", 1), (2, "a", 3), (2, "b", 4),
+        (1, "a", 3), (1, "b", 4),
+        (4, "a", 4), (4, "b", 0),
+    }
+    return Nfa(5, ("a", "b"), transitions, {0}, {3})
+
+
+class TestBatchNumbering:
+    """Rows mode numbers a whole batch of images at once: each new subset
+    at its first row-major occurrence, once, after the cap check."""
+
+    def test_masks_cells_and_marked_are_the_reference(self):
+        nfa = _batch_numbering_nfa()
+        _, table, _, _ = reference_determinize(nfa, FORWARD, DEFAULT_CAP)
+        assert table[:3] == ((1, 2), (3, 4), (5, 4))
+        for direction in (FORWARD, BACKWARD):
+            states, table, _, marked = reference_determinize(nfa, direction, DEFAULT_CAP)
+            result = automata._determinize(nfa, direction, DEFAULT_CAP)
+            assert result.masks == tuple(sum(1 << q for q in state) for state in states)
+            assert result.cells == array("I", [j for row in table for j in row])
+            assert result.marked == marked
+
+    def test_a_cap_inside_the_batch(self):
+        nfa = _batch_numbering_nfa()
+        with pytest.raises(CapExceededError) as info:
+            forward_determinize(nfa, 4)
+        assert info.value.partial_count == 4
+        assert str(info.value) == (
+            "state limit exceeded: forward determinization stopped after "
+            "discovering 4 subsets (cap 4)"
+        )
+        for direction in (FORWARD, BACKWARD):
+            for cap in range(1, 9):
+                assert _size_outcome(_engine_determinize, nfa, direction, cap) == _size_outcome(
+                    reference_determinize, nfa, direction, cap
+                )
+
+
+@pytest.mark.usefixtures("image_path")
+class TestBatchNumberingOnEveryImagePath(TestBatchNumbering):
+    pass
+
+
 def _recording_determinize(calls: list):
     """automata._determinize, appending each call's (direction, cap, rows)
     to ``calls``."""

@@ -109,6 +109,47 @@ class TestParseAutomaton:
         with pytest.raises(ParseError, match=fragment):
             parse_automaton(text)
 
+    def test_parsed_automaton_is_the_checked_one(self):
+        # parse_automaton skips Nfa.__post_init__, so its result must be
+        # what the checked constructor makes of the same fields.
+        def assert_checked(text, fields):
+            parsed, checked = parse_automaton(text), Nfa(*fields)
+            assert parsed == checked and hash(parsed) == hash(checked)
+            assert type(parsed.alphabet) is tuple
+            assert all(
+                type(value) is frozenset
+                for value in (parsed.transitions, parsed.initial, parsed.final)
+            )
+
+        rng = random.Random(43)
+        for _ in range(200):
+            n = rng.randint(0, 6)
+            alphabet = rng.sample(["a", "b", "z9", "#x", "{,}", "\u00e9"], rng.randint(0, 4))
+            triples = [
+                (rng.randrange(n), rng.choice(alphabet), rng.randrange(n))
+                for _ in range(rng.randint(0, 12) if n and alphabet else 0)
+            ]
+            initial = {rng.randrange(n) for _ in range(rng.randint(0, 3))} if n else set()
+            final = {rng.randrange(n) for _ in range(rng.randint(0, 3))} if n else set()
+            # Header lines in any order, repeated triples, comments,
+            # blank lines and uneven whitespace.
+            lines = [
+                " ".join(["alphabet", *alphabet]),
+                "initial\t" + " ".join(map(str, initial)),
+                "final  " + "  ".join(map(str, final)),
+            ]
+            lines += [f"trans {p} {a}\t{q}" for p, a, q in triples + triples[:2]]
+            lines += ["# comment", "", "   "]
+            rng.shuffle(lines)
+            text = f"nfa {n}\n" + "\n".join(lines) + "\n"
+            assert_checked(text, (n, alphabet, triples, initial, final))
+            nfa = Nfa(n, alphabet, triples, initial, final)
+            assert_checked(serialize_automaton(nfa), (n, alphabet, triples, initial, final))
+        for n in range(9):
+            nfa = witness_ufa(n)
+            fields = (nfa.state_count, nfa.alphabet, nfa.transitions, nfa.initial, nfa.final)
+            assert_checked(serialize_automaton(nfa), fields)
+
 
 @pytest.mark.parametrize(
     "parse,text,message",
