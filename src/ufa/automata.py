@@ -20,8 +20,9 @@ replay only its backward chain; larger ones search pairs one by one,
 backward only over the pairs the forward search reached.
 
 complement_construction counts both sides without rows, then builds only
-the chosen one with its transition table, one flat array of 4-byte
-cells; measure_constructions only counts.  A counted side still
+the chosen one, capped at its counted size, with its transition table:
+one flat array, 2 bytes a cell up to 2**16 states; measure_constructions
+only counts.  A counted side still
 discovers every subset, so its size and its cap outcome are those of the
 full construction.  complement_ufa turns the chosen side into an Nfa
 without re-validating its triples; the ``complement`` and
@@ -122,8 +123,10 @@ class Nfa:
     def _trusted(cls, *values):
         """An instance of field ``values`` that are valid and of the stored
         types (a tuple, frozensets): __post_init__'s pass over every triple
-        is skipped.  For the parser, which checks every rule as it reads,
-        and for a construction's own cells."""
+        is skipped.  Its callers: formats.parse_automaton, which checks
+        every rule as it reads; SubsetAutomaton._to_nfa, from a
+        construction's own cells; and bridge.graph_to_ufa, whose letters
+        and states are valid by construction."""
         nfa = object.__new__(cls)
         vars(nfa).update(zip(cls.__dataclass_fields__, values))
         return nfa
@@ -487,7 +490,8 @@ class SubsetAutomaton:
     subsets actually reached appear (the empty subset, mask 0, included
     exactly when it is reached).  State 0 is the seed subset: the initial
     set forward, the final set backward.  ``cells`` is the transition
-    table, row-major in one ``array("I")`` of 4 bytes a cell:
+    table, row-major in one array, ``array("H")`` of 2 bytes a cell when
+    the construction's cap is at most 2**16, else ``array("I")``:
     ``cells[i * w + j]``, with ``w = len(base.alphabet)``, is the image of
     state ``i`` under ``base.alphabet[j]``; in the backward direction the
     image is the one-letter preimage, so viewed as an automaton the edge
@@ -592,10 +596,10 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
     computed together, row-major in one flat tuple.  With ``rows``, one
     pass of _Numbering lookups turns a batch's images into its rows, a
     new subset numbered where it first occurs, and appends them to the
-    construction's ``cells``, one row-major ``array("I")``.  Without, the
-    subsets are only counted, a layer at a time and a set per batch, with
-    no table or ``marked`` set, and the return value is the number of
-    subsets.
+    construction's ``cells``, one row-major ``array("H")`` when ``cap`` is
+    at most 2**16, else ``array("I")``.  Without, the subsets are only
+    counted, a layer at a time and a set per batch, with no table or
+    ``marked`` set, and the return value is the number of subsets.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -664,12 +668,14 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
             layer = found
         return len(known)
     number = _Numbering(subsets, direction, cap).__getitem__
-    cells = array("I")
+    # Numbers stay below the cap.  struct.pack's native "=" layout is the
+    # array's; fromlist on "H" parses each item slowly.
+    cells = array("H" if cap <= 1 << 16 else "I")
     done = 0
     while done < len(subsets):
         batch = subsets[done:done + size]
         done += len(batch)
-        cells.fromlist(list(map(number, images(batch))))
+        cells.frombytes(struct.pack(f"={len(batch) * letters}{cells.typecode}", *map(number, images(batch))))
     masks = tuple(map(as_mask, subsets))
     against = _mask(mark_against)
     marked = frozenset(compress(count(), map(against.__and__, masks)))
@@ -762,7 +768,9 @@ def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
     Counts both subset constructions, then builds only the smaller (ties
     keep forward) with its transition table, through forward_determinize
     or backward_determinize; it has min(k, l) states, which for
-    unambiguous input never exceeds sqrt(n + 1) * 2**(n / 2).  Returns
+    unambiguous input never exceeds sqrt(n + 1) * 2**(n / 2).  The build's
+    cap is that counted size, which it reaches and never passes, so a
+    table of at most 2**16 states has 2-byte cells.  Returns
     (SubsetAutomaton, BoundReport).
 
     Raises AmbiguousAutomatonError (carrying a witness word) when the input
@@ -783,7 +791,7 @@ def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
         raise CapExceededError("both", cap, cap)
     report = BoundReport(nfa.state_count, *sizes)
     construct = forward_determinize if report.chosen == FORWARD else backward_determinize
-    return construct(nfa, cap), report
+    return construct(nfa, report.result_states), report
 
 
 def complement_ufa(nfa: Nfa, cap: int = DEFAULT_CAP):

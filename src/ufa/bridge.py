@@ -71,11 +71,12 @@ def graph_to_ufa(g: Graph) -> Nfa:
     clique_letters = [_label("c", members) for members in cliques]
     coclique_letters = [_label("i", members) for members in cocliques]
     alphabet = tuple(clique_letters + coclique_letters)
-    if g.vertex_count == 0:
-        return Nfa(0, alphabet, frozenset(), frozenset(), frozenset())
     transitions = {(0, a, v) for a, members in zip(clique_letters, cliques) for v in members}
     transitions |= {(v, a, 0) for a, members in zip(coclique_letters, cocliques) for v in members}
-    return Nfa(g.vertex_count, alphabet, transitions, frozenset({0}), frozenset({0}))
+    # Nothing to re-check: the letters name distinct vertex sets and hold
+    # no whitespace, and every state in a triple is a vertex.
+    ends = frozenset({0} if g.vertex_count else ())
+    return Nfa._trusted(g.vertex_count, alphabet, frozenset(transitions), ends, ends)
 
 
 def witness_ufa(n: int) -> Nfa:

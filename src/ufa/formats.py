@@ -25,7 +25,7 @@ a text stream straight from its row-major array of cells, in time linear
 in the cells and without building an Nfa or a tuple of rows; its text is
 what serialize_automaton gives for the construction's Nfa view.  It
 writes in bounded pieces (one per forward row, and backward at most
-_SLICE lines of one source, cut from that source's array of 4-byte cell
+4,096 lines of one source, cut from that source's array of 4-byte cell
 numbers), so the memory it needs follows the cells, not the text.
 """
 
@@ -171,8 +171,9 @@ def serialize_automaton(nfa: Nfa) -> str:
 
 # The most lines in one backward piece: one source can own most of the
 # table's cells (845,952 of 1,220,736 in the backward construction of
-# witness_ufa(16)), so a piece per source would not be bounded.
-_SLICE = 1 << 15
+# witness_ufa(16)), so a piece per source would not be bounded.  A piece
+# lives three times while written: its runs, their join, the encoded copy.
+_SLICE = 1 << 12
 
 
 def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bool = False) -> None:

@@ -737,6 +737,60 @@ class TestBatchNumberingOnEveryImagePath(TestBatchNumbering):
     pass
 
 
+def _cell_width_cases():
+    rng = random.Random(67)
+    ufas = [nfa for nfa in (random_nfa(rng) for _ in range(80)) if is_unambiguous(nfa)[0]]
+    return (
+        ufas
+        + [witness_ufa(n) for n in range(11)]
+        + [nth_letter_dfa(n) for n in range(2, 13)]
+    )
+
+
+class TestCellWidth:
+    """A cap of at most 2**16 gives 2-byte cells, a larger one 4-byte
+    cells, and both give the reference construction."""
+
+    def test_the_cap_sets_the_cell_type(self):
+        for nfa in _cell_width_cases():
+            for direction in (FORWARD, BACKWARD):
+                states, table, _, marked = _reference_outcome(nfa, direction, DEFAULT_CAP)
+                for cap, typecode in ((1 << 16, "H"), ((1 << 16) + 1, "I")):
+                    result = automata._determinize(nfa, direction, cap)
+                    assert result.cells.typecode == typecode
+                    assert result.masks == tuple(sum(1 << q for q in state) for state in states)
+                    assert result.cells.tolist() == [j for row in table for j in row]
+                    assert result.marked == marked
+
+    def test_the_complement_table_has_two_byte_cells(self):
+        for nfa in _cell_width_cases():
+            construction, report = complement_construction(nfa)
+            assert construction.cells.typecode == "H"
+            construct = forward_determinize if report.chosen == FORWARD else backward_determinize
+            full = construct(nfa)
+            assert full.cells.typecode == "I"
+            fields = attrgetter("direction", "masks", "marked")
+            assert fields(construction) == fields(full)
+            assert construction.cells.tolist() == full.cells.tolist()
+
+
+@pytest.mark.usefixtures("image_path")
+class TestCellWidthOnEveryImagePath(TestCellWidth):
+    pass
+
+
+def test_a_table_of_2_to_the_16_states_fits_two_bytes():
+    # Backward, "letter 16 is a" has 65,536 subsets: the last state
+    # number, 65535, is the largest 2-byte cell.
+    nfa = nth_letter_dfa(17)
+    narrow = backward_determinize(nfa, 1 << 16)
+    wide = backward_determinize(nfa)
+    assert (narrow.cells.typecode, wide.cells.typecode) == ("H", "I")
+    assert narrow.state_count == 1 << 16 and max(narrow.cells) == (1 << 16) - 1
+    assert narrow.cells.tolist() == wide.cells.tolist()
+    assert (narrow.masks, narrow.marked) == (wide.masks, wide.marked)
+
+
 def _recording_determinize(calls: list):
     """automata._determinize, appending each call's (direction, cap, rows)
     to ``calls``."""
@@ -751,13 +805,17 @@ def _recording_determinize(calls: list):
 
 def _assert_chosen_side_is_the_full_construction(nfa, cap=DEFAULT_CAP):
     """complement_construction's pick equals the full construction of its
-    side, and it asks _determinize for rows once, for that side with the
-    same cap, after counting both sides."""
+    side, and it asks _determinize for rows once, after counting both
+    sides with the same cap: for that side, capped at its counted size."""
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(automata, "_determinize", _recording_determinize(calls))
         construction, report = complement_construction(nfa, cap)
-    assert calls == [(FORWARD, cap, False), (BACKWARD, cap, False), (report.chosen, cap, True)]
+    assert calls == [
+        (FORWARD, cap, False),
+        (BACKWARD, cap, False),
+        (report.chosen, report.result_states, True),
+    ]
     construct = forward_determinize if report.chosen == FORWARD else backward_determinize
     fields = attrgetter("direction", "masks", "transition_table", "marked")
     assert fields(construction) == fields(construct(nfa, cap))

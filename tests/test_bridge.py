@@ -33,6 +33,7 @@ from helpers import (
     graphs,
     is_clique,
     is_coclique,
+    random_graph,
     random_nfa,
     reference_is_unambiguous,
     reference_reachable_state_pairs,
@@ -178,6 +179,24 @@ class TestGraphToUfa:
                 assert is_unambiguous(automaton)[0]
                 assert forward_determinize(automaton).state_count >= count_cliques(g)
                 assert backward_determinize(automaton).state_count >= count_cocliques(g)
+
+    def test_built_automaton_is_the_checked_one(self):
+        # graph_to_ufa skips Nfa's checks; it must give what the checked
+        # constructor gives from the same fields.
+        rng = random.Random(53)
+        cases = [witness_ufa(n) for n in range(13)]
+        cases += [graph_to_ufa(random_graph(rng, rng.randint(0, 7), rng.random())) for _ in range(50)]
+        for automaton in cases:
+            checked = Nfa(
+                automaton.state_count,
+                automaton.alphabet,
+                automaton.transitions,
+                automaton.initial,
+                automaton.final,
+            )
+            assert automaton == checked and hash(automaton) == hash(checked)
+            assert type(automaton.alphabet) is tuple
+            assert {type(automaton.transitions), type(automaton.initial), type(automaton.final)} == {frozenset}
 
     def test_transitions_route_through_vertex_zero(self):
         automaton = graph_to_ufa(complete_graph(3))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufa import (
+    DEFAULT_CAP,
     Graph,
     Nfa,
     ParseError,
@@ -216,12 +217,12 @@ class _Pieces(io.StringIO):
         return super().write(text)
 
 
-def _assert_written_from_the_table(nfa):
-    """Both constructions of ``nfa``, with either marking, stream (to a
-    StringIO and to a file) exactly as their Nfa views serialize, and
-    parse back to them."""
+def _assert_written_from_the_table(nfa, cap=DEFAULT_CAP):
+    """Both constructions of ``nfa`` under ``cap``, with either marking,
+    stream (to a StringIO and to a file) exactly as their Nfa views
+    serialize, and parse back to them."""
     for construct in (forward_determinize, backward_determinize):
-        construction = construct(nfa)
+        construction = construct(nfa, cap)
         for complement, view in (
             (False, construction.as_nfa()),
             (True, construction.as_complement_nfa()),
@@ -289,6 +290,16 @@ class TestSerializeSubsetAutomaton:
 
     def test_witness_10(self):
         _assert_written_from_the_table(witness_ufa(10))
+
+    @pytest.mark.parametrize("cap,typecode", [(1 << 16, "H"), ((1 << 16) + 1, "I")])
+    def test_either_cell_width(self, cap, typecode):
+        # The serialized view does not depend on the cap, so 2-byte and
+        # 4-byte tables must write the same text.
+        rng = random.Random(47)
+        cases = [_wide_automaton(40)] + [witness_ufa(n) for n in range(11)]
+        for nfa in cases + [random_nfa_any(rng) for _ in range(20)]:
+            assert backward_determinize(nfa, cap).cells.typecode == typecode
+            _assert_written_from_the_table(nfa, cap)
 
     def test_busiest_backward_source_spans_several_slices(self):
         nfa = _wide_automaton(formats._SLICE // 4)
