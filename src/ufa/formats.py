@@ -25,15 +25,14 @@ a text stream straight from its row-major array of cells, in time linear
 in the cells and without building an Nfa or a tuple of rows; its text is
 what serialize_automaton gives for the construction's Nfa view.  It
 writes in bounded pieces (one per forward row, and backward at most
-4,096 lines of one source, cut from that source's array of 4-byte cell
-numbers), so the memory it needs follows the cells, not the text.
+4,096 lines of one source) from a few numbers per backward stretch of
+one source's targets, so its memory follows the stretches, not the text.
 """
 
 import sys
 from array import array
-from bisect import bisect_left
-from itertools import chain, repeat
-from operator import sub
+from itertools import accumulate, chain, repeat
+from operator import add
 
 from .automata import FORWARD, Nfa, SubsetAutomaton
 from .graphs import Graph
@@ -169,11 +168,12 @@ def serialize_automaton(nfa: Nfa) -> str:
     return header + "".join(f"trans {src} {symbol} {dst}\n" for src, symbol, dst in ordered)
 
 
-# The most lines in one backward piece: one source can own most of the
-# table's cells (845,952 of 1,220,736 in the backward construction of
-# witness_ufa(16)), so a piece per source would not be bounded.  A piece
-# lives three times while written: its runs, their join, the encoded copy.
+# The most lines in one backward piece, which may cut a run or a stretch:
+# one source can own most of the table's cells (845,952 of 1,220,736 in
+# the backward construction of witness_ufa(16)).  A piece lives three
+# times while written: its runs, their join, the encoded copy.
 _SLICE = 1 << 12
+_NONZERO = bytes(1) + b"\1" * 255
 
 
 def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bool = False) -> None:
@@ -185,15 +185,15 @@ def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bo
     Each cell is one transition.  Forward, cell (i, j) is the edge from i
     to ``cells[i * w + j]`` (``w`` letters), so each row, the slice
     ``cells[i * w:(i + 1) * w]``, is one piece, already in canonical
-    order.  Backward, it is the edge from ``cells[i * w + j]`` to i; one
-    bucket pass over the cells, column by column (the strided slices
-    ``cells[j::w]``), puts them in order of source, then column, then
-    target, in one array per source.  Each source's cells are written in
-    slices of at most _SLICE lines, and within a slice each column's run,
-    found by bisection, is one join of its targets' strings on the
-    ``trans <source> <symbol> `` prefix.  So the time is linear in the
-    cells.  State 0, the seed subset, is the initial state forward and the
-    final state backward.
+    order.  Backward, it is the edge from ``cells[i * w + j]`` to i, and
+    the lines go by source, then column, then target.  Each column, the
+    strided slice ``cells[j::w]``, is cut in C into stretches of targets
+    with one source; a stable counting sort of the stretches by source
+    makes each source's stretches in one column adjacent, and they are one
+    join of their targets' strings on the ``trans <source> <symbol> ``
+    prefix.  Each source is written in pieces of at most _SLICE lines.
+    Python loops once per stretch, not per cell.  State 0, the seed
+    subset, is the initial state forward and the final state backward.
     """
     table = construction.cells
     alphabet = construction.base.alphabet
@@ -211,31 +211,66 @@ def write_subset_automaton(construction: SubsetAutomaton, stream, complement: bo
             stream.write("".join(parts))
         return
     stream.write(_automaton_header(size, alphabet, accepting, seed))
-    # Cells numbered column-major, j * size + i, 4 bytes each, in one array
-    # per source that goes up by column, then target.
-    buckets = [array("I") for _ in range(size)]
-    appends = [bucket.append for bucket in buckets]
-    for cell, source in enumerate(chain.from_iterable(table[j::width] for j in range(width))):
-        appends[source](cell)
-    for source, cells in enumerate(buckets):
-        piece, lines, start = [], 0, 0
-        while start < len(cells):
-            # One join for a run of cells in one column, up to the end of
-            # the piece.
-            column = cells[start] // size
-            base = column * size
-            stop = min(len(cells), start + _SLICE - lines)
-            end = bisect_left(cells, base + size, start, stop)
-            prefix = f"trans {source} {alphabet[column]} "
-            run = map(targets.__getitem__, map(sub, cells[start:end], repeat(base)))
+    # A stretch is a maximal run of one source's targets in a column; a
+    # cell starts one where a byte lane of it differs from the cell before.
+    # As a 0 byte a cell, with a 1 byte before each later stretch, a column
+    # splits on the 1 bytes into its stretches' lengths.  Stretch r covers
+    # cells bounds[r]:bounds[r + 1], numbered column-major, j * size + i.
+    lanes = table.itemsize
+    bounds, sources = array("I", [0]), array(table.typecode)
+    for column in range(width):
+        cells = table[column::width]
+        data = cells.tobytes()
+        changed = 0
+        for lane in range(lanes):
+            value = int.from_bytes(data[lane::lanes], "little")
+            changed |= value ^ (value >> 8)
+        marks = changed.to_bytes(size, "little")[:-1].translate(_NONZERO)
+        lengths = map(len, (b"\0" + marks.replace(b"\1", b"\1\0")).split(b"\1"))
+        cuts = array("I", accumulate(lengths, initial=0))
+        sources.extend(map(cells.__getitem__, cuts[:-1]))
+        bounds.extend(map(add, cuts[1:], repeat(column * size)))
+    # One stable counting sort puts them in order of source, then column.
+    counts = [0] * size
+    for source in sources:
+        counts[source] += 1
+    slots = list(accumulate(counts, initial=0))
+    order = array("I", bytes(4 * len(sources)))
+    for stretch, source in enumerate(sources):
+        slot = slots[source]
+        order[slot] = stretch
+        slots[source] = slot + 1
+    # A source's stretches in one column make one run and one join; a run
+    # ends at a new source or at the first stretch past its column.
+    piece, run, room, current, limit = [], [], _SLICE, -1, 0
+    for source, lo, hi in zip(
+        chain.from_iterable(map(repeat, range(size), counts)),
+        map(bounds.__getitem__, order),
+        map(memoryview(bounds)[1:].__getitem__, order),
+    ):
+        if source != current or lo >= limit:
+            if run:
+                piece.append(prefix + prefix.join(run))
+            if source != current:
+                if piece:
+                    stream.write("".join(piece))
+                piece, room, current = [], _SLICE, source
+            column = lo // size
+            base, limit = column * size, (column + 1) * size
+            prefix, run = f"trans {source} {alphabet[column]} ", []
+        lo, hi = lo - base, hi - base
+        while hi - lo >= room:
+            run += targets[lo:lo + room]
+            lo += room
             piece.append(prefix + prefix.join(run))
-            lines += end - start
-            start = end
-            if lines == _SLICE:
-                stream.write("".join(piece))
-                piece, lines = [], 0
-        if piece:
             stream.write("".join(piece))
+            piece, run, room = [], [], _SLICE
+        run += targets[lo:hi]
+        room -= hi - lo
+    if run:
+        piece.append(prefix + prefix.join(run))
+    if piece:
+        stream.write("".join(piece))
 
 
 def parse_graph(text: str) -> Graph:

@@ -3,6 +3,7 @@
 import io
 import random
 import tempfile
+from array import array
 from collections import Counter
 from itertools import chain
 
@@ -11,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufa import (
+    BACKWARD,
     DEFAULT_CAP,
     Graph,
     Nfa,
     ParseError,
+    SubsetAutomaton,
     backward_determinize,
     forward_determinize,
     is_unambiguous,
@@ -319,10 +322,10 @@ class TestSerializeSubsetAutomaton:
     @pytest.mark.parametrize("slice_lines", [1, 3, 7])
     def test_every_bucket_chunk_boundary(self, monkeypatch, bucket_cells, slice_lines):
         # One state looping on bucket_cells letters: the backward
-        # construction's one source owns a bucket array of exactly
-        # bucket_cells cells, so its end falls on, before and after the
-        # end of a slice.  Each slice is one piece, the last one holding
-        # what is left.
+        # construction's one source owns all bucket_cells lines, one
+        # one-cell stretch in each column, so its end falls on, before and
+        # after the end of a slice.  Each slice is one piece, the last one
+        # holding what is left.
         monkeypatch.setattr(formats, "_SLICE", slice_lines)
         alphabet = tuple(f"s{i}" for i in range(bucket_cells))
         nfa = Nfa(1, alphabet, {(0, a, 0) for a in alphabet}, {0}, {0})
@@ -365,6 +368,120 @@ class TestSerializeSubsetAutomaton:
             per_source[sources.pop()] += 1
         # ceil(busiest / _SLICE) pieces for the busiest source.
         assert max(per_source.values()) == -(-busiest // formats._SLICE)
+
+
+def _backward_table(size, columns, typecode) -> SubsetAutomaton:
+    """A backward construction built by hand: ``columns[j][i]`` is the
+    source of the edge into target i on letter j.  Its base is a one-state
+    automaton with one letter per column; masks and marking do not reach
+    the table."""
+    alphabet = tuple(f"s{j}" for j in range(len(columns)))
+    cells = array(typecode, chain.from_iterable(zip(*columns)))
+    assert len(cells) == size * len(columns)
+    base = Nfa(1, alphabet, set(), {0}, {0})
+    return SubsetAutomaton(base, BACKWARD, tuple(range(size)), cells, frozenset({0, size - 1}))
+
+
+def _assert_backward_pieces(construction):
+    """Both markings write exactly as their Nfa views serialize, in pieces
+    of at most _SLICE lines of one source, each source's pieces full but
+    its last."""
+    for complement, view in (
+        (False, construction.as_nfa()),
+        (True, construction.as_complement_nfa()),
+    ):
+        stream = _Pieces()
+        write_subset_automaton(construction, stream, complement=complement)
+        assert stream.getvalue() == serialize_automaton(view)
+        sizes = {}
+        for piece in stream.pieces[1:]:
+            lines = piece.splitlines()
+            sources = {line.split()[1] for line in lines}
+            assert len(sources) == 1
+            sizes.setdefault(sources.pop(), []).append(len(lines))
+        for counts in sizes.values():
+            assert all(count == formats._SLICE for count in counts[:-1])
+            assert 1 <= counts[-1] <= formats._SLICE
+
+
+def _stretches(rng, size, sources) -> list:
+    """A column of ``size`` cells in stretches of random length, each
+    from a random one of ``sources``."""
+    column = []
+    while len(column) < size:
+        column += [rng.choice(sources)] * rng.randint(1, 9)
+    return column[:size]
+
+
+@pytest.fixture(params=[1, 3, 7, None], ids=["slice1", "slice3", "slice7", "default"])
+def slice_lines(request, monkeypatch):
+    """_SLICE at 1, 3, 7 and its default."""
+    if request.param is not None:
+        monkeypatch.setattr(formats, "_SLICE", request.param)
+    return formats._SLICE
+
+
+class TestBackwardStretches:
+    """Backward tables built by hand around the writer's stretches:
+    maximal runs of one source's targets in a column."""
+
+    @pytest.mark.parametrize("typecode", ["H", "I"])
+    def test_one_state_has_no_cut(self, slice_lines, typecode):
+        _assert_backward_pieces(_backward_table(1, [[0], [0], [0]], typecode))
+
+    def test_empty_alphabet(self, slice_lines):
+        _assert_backward_pieces(_backward_table(3, [], "H"))
+
+    @pytest.mark.parametrize("typecode", ["H", "I"])
+    def test_sources_differing_only_in_the_high_byte(self, slice_lines, typecode):
+        # 1 and 257 share their low byte, so only the second byte lane
+        # tells their stretches apart.
+        size = 258
+        pattern = [1, 1, 257, 1, 257, 257, 257, 1]
+        columns = [
+            (pattern * size)[:size],
+            [257] * (size // 2) + [1] * (size - size // 2),
+            [1, 257] * (size // 2),
+        ]
+        _assert_backward_pieces(_backward_table(size, columns, typecode))
+
+    def test_four_byte_sources_differing_only_in_the_third_byte(self):
+        # 1 and 65537 share their two low bytes.
+        size = (1 << 16) + 2
+        column = [0] * size
+        column[5:9] = [1, 65537, 65537, 1]
+        column[-3:] = [65537, 1, 65537]
+        _assert_backward_pieces(_backward_table(size, [column], "I"))
+
+    def test_every_target_its_own_stretch(self, slice_lines):
+        columns = [[0, 1, 2, 3, 4, 5], [5, 0, 5, 0, 5, 0], [3, 3, 4, 4, 1, 2]]
+        _assert_backward_pieces(_backward_table(6, columns, "H"))
+
+    def test_stretches_that_end_a_column(self, slice_lines):
+        # A long and a one-cell last stretch, and a column of one stretch.
+        columns = [[0, 0, 1, 1, 1], [2, 2, 2, 2, 3], [4, 4, 4, 4, 4], [1, 0, 0, 0, 0]]
+        _assert_backward_pieces(_backward_table(5, columns, "H"))
+
+    @pytest.mark.parametrize("typecode", ["H", "I"])
+    def test_runs_longer_than_a_slice(self, slice_lines, typecode):
+        # Source 0 owns one stretch longer than two slices, a run of many
+        # stretches, and stretches that cross a piece's end.
+        size = 2 * slice_lines + 3
+        columns = [
+            [0] * size,
+            [0, 0, 1] * (size // 3) + [0] * (size % 3),
+            [1] * (slice_lines - 1) + [0] * (size - slice_lines + 1),
+        ]
+        _assert_backward_pieces(_backward_table(size, columns, typecode))
+
+    @pytest.mark.parametrize("typecode", ["H", "I"])
+    def test_seeded_random_stretches(self, slice_lines, typecode):
+        rng = random.Random(53)
+        for _ in range(30):
+            size, width = rng.randint(1, 40), rng.randint(0, 4)
+            sources = rng.sample(range(size), min(size, rng.randint(1, 4)))
+            columns = [_stretches(rng, size, sources) for _ in range(width)]
+            _assert_backward_pieces(_backward_table(size, columns, typecode))
 
 
 class TestGraphFiles:
