@@ -207,7 +207,7 @@ def count_accepting_runs(nfa: Nfa, word) -> int:
     return sum(c for q, c in counts.items() if q in nfa.final)
 
 
-def _pair_search(nfa: Nfa, parent: dict, backward: bool = False, allowed=None):
+def _pair_search(nfa: Nfa, parent: dict, backward: bool = False, allowed=None, rows_by_symbol=None):
     """Breadth-first search over pairs of states stepped in lockstep,
     generating the pairs in discovery order.
 
@@ -218,12 +218,14 @@ def _pair_search(nfa: Nfa, parent: dict, backward: bool = False, allowed=None):
     only pairs in it are visited and the seeds are read off it, sorted,
     which is the nested loop's order.  The empty dict ``parent`` gets
     ``code -> (parent code, symbol)`` (seeds map to None) as the search
-    goes, which stops where its caller does.  Deterministic: seeds,
-    alphabet and successor tuples are all ordered.
+    goes, which stops where its caller does.  Steps follow
+    ``rows_by_symbol``, an Nfa._rows table, else _succ or _pred.
+    Deterministic: seeds, alphabet and successor tuples are all ordered.
     """
     n = nfa.state_count
     seeds = nfa.final if backward else nfa.initial
-    rows_by_symbol = nfa._pred if backward else nfa._succ
+    if rows_by_symbol is None:
+        rows_by_symbol = nfa._pred if backward else nfa._succ
     columns = [(a, rows_by_symbol[a]) for a in nfa.alphabet]
     if allowed is None:
         ordered = sorted(seeds)
@@ -278,88 +280,86 @@ def _bits(mask: int):
 _PAIR_BITS = 1 << 24
 
 
-def _pair_stepper(nfa: Nfa, backward: bool = False):
-    """``step(p, mask)`` for pairs kept as rows ``{p: mask}`` (bit q for
-    the pair (p, q)): per letter, the states p steps to (its successors,
-    backward its predecessors) and the mask of those the bits of mask step
-    to, the OR of their packed ints split into letters in one ``struct``
-    call.  The rows are not the cached _succ and _pred, which would
-    outlive a yes answer."""
-    here, there = (2, 0) if backward else (0, 2)
-    packed = nfa._packed(here, there)
-    columns = list(nfa._rows(here, there).values())
-    width = _byte_width(nfa.state_count)
-    fields = struct.Struct(f"{width}s" * len(nfa.alphabet))
-    zero = bytes(width)
-    get = packed.get
-    # moves[p]: (letter index, the states p steps to on it), per letter.
-    moves = {}
-
-    def step(p, mask):
-        steps = moves.get(p)
-        if steps is None:
-            steps = moves[p] = [(j, rows[p]) for j, rows in enumerate(columns) if p in rows]
-        if not steps:
-            return ()
-        if mask & (mask - 1):
-            image = 0
-            while mask:
-                low = mask & -mask
-                image |= get(low.bit_length() - 1, 0)
-                mask ^= low
-        else:
-            image = get(mask.bit_length() - 1, 0)
-        images = fields.unpack(image.to_bytes(fields.size, "little"))
-        return [(targets, int.from_bytes(images[j], "little")) for j, targets in steps if images[j] != zero]
-
-    return step
+def _pair_kernel(columns: dict, packed: dict, n: int):
+    """(rows, moves, full) for pair rows (bit q of row p for the pair
+    (p, q)) stepped along ``columns`` and ``packed``, an Nfa._rows and an
+    Nfa._packed table of one direction.  Indexed by state: rows[q] is
+    packed[q] (0 without transitions), letter j in the field from bit
+    j * f, f = 8 * _byte_width(n), and moves[p] is p's (j * f, targets)
+    in letter order.  Row p's bits q step on letter j to the bits of
+    ``image >> j * f & full``, image the OR of their rows[q]."""
+    bits = 8 * _byte_width(n)
+    rows = [packed.get(q, 0) for q in range(n)]
+    moves = [[] for _ in range(n)]
+    for shift, column in zip(count(0, bits), columns.values()):
+        for p, targets in column.items():
+            moves[p].append((shift, targets))
+    return rows, moves, (1 << bits) - 1
 
 
-def _reachable_rows(step, seeds: dict) -> dict:
-    """The rows of the pairs reachable from the rows ``seeds``; a row waits
-    in the worklist with all the bits it gained, stepped once for them."""
-    seen = dict(seeds)
-    pending = dict(seeds)
+def _reachable_rows(kernel, seeds: dict) -> dict:
+    """The nonzero rows, by state, of the pairs reachable from the rows
+    ``seeds`` along ``kernel`` (see _pair_kernel); a row waits in the
+    worklist with all the bits it gained, stepped once for them."""
+    rows, moves, full = kernel
+    seen = [seeds.get(p, 0) for p in range(len(rows))]
+    pending = seen.copy()
     # Iterating a list visits what is appended during the loop.
     order = list(seeds)
     for p in order:
-        for targets, found in step(p, pending.pop(p)):
-            for p2 in targets:
-                old = seen.get(p2, 0)
-                new = found & ~old
-                if new:
-                    seen[p2] = old | new
-                    if p2 in pending:
+        mask = pending[p]
+        pending[p] = image = 0
+        while mask:
+            low = mask & -mask
+            image |= rows[low.bit_length() - 1]
+            mask ^= low
+        for shift, targets in moves[p]:
+            found = image >> shift & full
+            if found:
+                for p2 in targets:
+                    old = seen[p2]
+                    new = found & ~old
+                    if new:
+                        seen[p2] = old | new
+                        if not pending[p2]:
+                            order.append(p2)
                         pending[p2] |= new
-                    else:
-                        pending[p2] = new
-                        order.append(p2)
-    return seen
+    return {p: row for p, row in enumerate(seen) if row}
 
 
-def _pair_layers(step, seeds: dict, within: dict):
+def _pair_layers(kernel, seeds: dict, within: dict):
     """Generate, seeds first, the breadth-first layers of the pairs of
-    ``within`` reachable from ``seeds``, all as rows."""
-    seen = dict(seeds)
+    ``within`` reachable from ``seeds`` along ``kernel``, all as rows."""
+    rows, moves, full = kernel
+    # unseen[p]: the bits of within[p] in no layer yet.
+    unseen = [within.get(p, 0) & ~seeds.get(p, 0) for p in range(len(rows))]
     layer = seeds
     while layer:
         yield layer
         reached = {}
         for p, mask in layer.items():
-            for targets, found in step(p, mask):
-                for p2 in targets:
-                    reached[p2] = reached.get(p2, 0) | found
+            image = 0
+            while mask:
+                low = mask & -mask
+                image |= rows[low.bit_length() - 1]
+                mask ^= low
+            for shift, targets in moves[p]:
+                found = image >> shift & full
+                if found:
+                    for p2 in targets:
+                        reached[p2] = reached.get(p2, 0) | found
         layer = {}
         for p, mask in reached.items():
-            new = mask & within.get(p, 0) & ~seen.get(p, 0)
+            new = mask & unseen[p]
             if new:
                 layer[p] = new
-                seen[p] = seen.get(p, 0) | new
+                unseen[p] ^= new
 
 
-def _cone_parents(nfa: Nfa, layers: list, target: int) -> dict:
+def _cone_parents(nfa: Nfa, succ: dict, layers: list, target: int) -> dict:
     """The backward pair search's parent links from ``target`` to a seed,
-    replayed on its successor cone; ``layers`` are that search's layers.
+    replayed on its cone along ``succ``, the forward rows' Nfa._rows(0, 2)
+    table; ``layers`` are that search's layers.
 
     With d the target's layer, C_d = {target} and C_(j-1) holds the pairs
     of layer j - 1 that a pair of C_j steps to, all its candidate parents.
@@ -370,7 +370,7 @@ def _cone_parents(nfa: Nfa, layers: list, target: int) -> dict:
     tuples, that is by code.
     """
     n = nfa.state_count
-    columns = [nfa._succ[a] for a in nfa.alphabet]
+    columns = list(succ.values())
     depth = next(d for d, layer in enumerate(layers) if layer.get(target // n, 0) >> target % n & 1)
     # Each cone maps its pairs to their (letter index, candidate parent)s.
     cones = [{target: []}]
@@ -401,25 +401,26 @@ def _cone_parents(nfa: Nfa, layers: list, target: int) -> dict:
     return parent
 
 
-def _row_witness_pair(nfa: Nfa, fwd_parent: dict):
+def _row_witness_pair(nfa: Nfa, fwd_parent: dict, succ: dict):
     """(forward-reachable rows R, witness pair code or None, backward
-    layers computed) on packed rows.  When a layer within R first holds
-    a pair of distinct states, the forward search (filling ``fwd_parent``)
-    runs to its first such pair X; the layers stop once X shows up, else
-    the search goes on to the first one in any layer.  A yes answer runs
-    no per-pair search."""
+    layers computed) on packed rows, ``succ`` being Nfa._rows(0, 2).  When
+    a layer within R first holds a pair of distinct states, the forward
+    search along ``succ`` (filling ``fwd_parent``) runs to its first such
+    pair X; the layers stop once X shows up, else the search goes on to
+    the first one in any layer.  A yes answer runs no per-pair search."""
     n = nfa.state_count
-    reach = _reachable_rows(_pair_stepper(nfa), dict.fromkeys(nfa.initial, _mask(nfa.initial)))
+    seeds = dict.fromkeys(nfa.initial, _mask(nfa.initial))
+    reach = _reachable_rows(_pair_kernel(succ, nfa._packed(0, 2), n), seeds)
     layers = []
     if not any(row & ~(1 << p) for p, row in reach.items()):
         return reach, None, layers
     final = _mask(nfa.final)
     seeds = {p: reach[p] & final for p in nfa.final if reach.get(p, 0) & final}
     search = None
-    for layer in _pair_layers(_pair_stepper(nfa, backward=True), seeds, reach):
+    for layer in _pair_layers(_pair_kernel(nfa._rows(2, 0), nfa._packed(2, 0), n), seeds, reach):
         layers.append(layer)
         if search is None and any(row & ~(1 << p) for p, row in layer.items()):
-            search = _pair_search(nfa, fwd_parent)
+            search = _pair_search(nfa, fwd_parent, rows_by_symbol=succ)
             first = next(code for code in search if code // n != code % n)
         if search is not None and layer.get(first // n, 0) >> first % n & 1:
             return reach, first, layers
@@ -443,7 +444,9 @@ def _unambiguity(nfa: Nfa):
     Y discovers X only when X steps to Y, and then Y is forward-reachable
     if X is, so the kept pairs keep their order, parents and layers.  Up
     to _PAIR_BITS the pairs are packed rows (_row_witness_pair and
-    _cone_parents); above it both per-pair searches run in full.
+    _cone_parents), stepped along uncached tables, so that no answer
+    leaves _succ or _pred on ``nfa``; above it both per-pair searches run
+    in full.
     """
     n = nfa.state_count
     fwd_parent, bwd_parent = {}, {}
@@ -454,10 +457,11 @@ def _unambiguity(nfa: Nfa):
         pairs = (divmod(code, n) for code in fwd_order)
         target = next((code for code in fwd_order if code in bwd_parent and code // n != code % n), None)
     else:
-        reach, target, layers = _row_witness_pair(nfa, fwd_parent)
+        succ = nfa._rows(0, 2)
+        reach, target, layers = _row_witness_pair(nfa, fwd_parent, succ)
         pairs = ((p, q) for p, row in reach.items() for q in _bits(row))
         if target is not None:
-            bwd_parent = _cone_parents(nfa, layers, target)
+            bwd_parent = _cone_parents(nfa, succ, layers, target)
     if target is None:
         return pairs, None
     return pairs, _trace_word(fwd_parent, target, True) + _trace_word(bwd_parent, target, False)

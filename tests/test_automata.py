@@ -261,6 +261,21 @@ def _planted_twin(rng, n: int, letters: int) -> Nfa:
     return Nfa(n + 1, alphabet, edges, {start}, final | ({twin} if copied in final else set()))
 
 
+def _field_boundary_twins(n: int):
+    """Two ambiguous n-state automata over (a, b) whose every pair of
+    distinct states that some word reaches and leaves accepted holds
+    state n - 1, the top bit of a field when n fills its bytes, reached
+    on the last letter b.  Forward, an a-cycle over 0..n-2 branches from
+    n - 2 on b to 0 and to n - 1, both final, and n - 1 loops on a;
+    backward, its reversal, where the runs from the initial states 0 and
+    n - 1 meet in n - 2 on b."""
+    cycle = {(q, "a", (q + 1) % (n - 1)) for q in range(n - 1)}
+    edges = cycle | {(n - 2, "b", 0), (n - 2, "b", n - 1), (n - 1, "a", n - 1)}
+    forward = Nfa(n, ("a", "b"), edges, {0}, {0, n - 1})
+    backward = Nfa(n, ("a", "b"), {(d, a, s) for s, a, d in edges}, {0, n - 1}, {0})
+    return forward, backward
+
+
 class TestPairSearchAgainstTheOracle:
     """Both paths of the pair test, packed rows and the coded, pruned
     per-pair search, give the verdicts, witnesses and reachable pairs of
@@ -318,7 +333,7 @@ class TestPairSearchAgainstTheOracle:
         checked = 0
         for _ in range(400):
             nfa = rng.choice((_random_automaton, _dfa_with_twin))(rng)
-            reach, _, layers = automata._row_witness_pair(nfa, {})
+            reach, _, layers = automata._row_witness_pair(nfa, {}, nfa._rows(0, 2))
             for layer in layers:
                 for p, row in layer.items():
                     assert row & ~reach.get(p, 0) == 0
@@ -341,6 +356,47 @@ class TestPairSearchAgainstTheOracle:
                 # either path runs.
                 assert _unambiguity(fresh)[1] is None
                 assert ("_succ" in vars(fresh), "_pred" in vars(fresh)) == (per_pair, per_pair)
+
+    def test_a_no_on_the_rows_path_caches_no_rows(self, monkeypatch):
+        # The rows path steps its kernels, its forward search and its cone
+        # along uncached tables; the per-pair path reads the cached ones.
+        rng = random.Random(21)
+        for path, per_pair in (("rows", False), ("pairs", True)):
+            monkeypatch.setattr(automata, "_PAIR_BITS", PAIR_PATHS[path])
+            for _ in range(3):
+                nfa = _planted_twin(rng, rng.randint(100, 200), 2)
+                assert not is_unambiguous(nfa)[0]
+                assert ("_succ" in vars(nfa), "_pred" in vars(nfa)) == (per_pair, per_pair), path
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 64, 65, 72])
+    def test_field_boundaries(self, monkeypatch, n):
+        # At n = 8, 16, 64 and 72 state n - 1 is a field's top bit; at 9,
+        # 17 and 65 it is the one bit of the last byte in use.
+        for nfa in _field_boundary_twins(n):
+            expected = reference_is_unambiguous(nfa)
+            assert not expected[0]
+            reachable = sorted(reference_reachable_state_pairs(nfa))
+            for path, bits in PAIR_PATHS.items():
+                monkeypatch.setattr(automata, "_PAIR_BITS", bits)
+                assert is_unambiguous(nfa) == expected, path
+                assert sorted(_unambiguity(nfa)[0]) == reachable, path
+            # The backward layers are the oracle's breadth-first layers
+            # within the reachable pairs, as far as they go.
+            _, _, layers = automata._row_witness_pair(nfa, {}, nfa._rows(0, 2))
+            rows = reference_rows(nfa, backward=True)
+            within = set(reachable)
+            layer = set(seed_pairs(nfa.final)) & within
+            seen = set(layer)
+            for got in layers:
+                assert {(p, q) for p, row in got.items() for q in automata._bits(row)} == layer
+                layer = {
+                    (p2, q2)
+                    for p, q in layer
+                    for a in nfa.alphabet
+                    for p2 in rows[a].get(p, ())
+                    for q2 in rows[a].get(q, ())
+                } & (within - seen)
+                seen |= layer
 
     def test_planted_twins_are_found(self):
         rng = random.Random(5)
