@@ -3,7 +3,9 @@ checking, and subset determinization in both directions.
 
 States are plain integers ``0..state_count-1``; words are tuples of symbol
 labels.  Everything here is pure: automata are frozen dataclasses and every
-operation returns new values.
+operation returns new values.  Every operation reads one transition index
+per direction (_index) or its packed rows, built at most once per public
+call (_tables_of) and never cached on the Nfa, which a construction keeps.
 
 The subset constructions represent a subset of base states as an int mask
 (bit q set iff state q is a member).  Each base state's one-letter images
@@ -34,9 +36,11 @@ in their number.
 import struct
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain, compress, count, repeat
 from operator import or_
+
+from .graphs import _bits
 
 Word = tuple[str, ...]
 
@@ -137,46 +141,6 @@ class Nfa:
                 f"{role} state {q!r} out of range for {self.state_count} states"
             )
 
-    def _rows(self, here: int, there: int):
-        """Per symbol, a dict from each state at position ``here`` of the
-        transition triples to the sorted tuple of states at position
-        ``there``; states without transitions are left out."""
-        rows = {a: {} for a in self.alphabet}
-        for triple in self.transitions:
-            rows[triple[1]].setdefault(triple[here], []).append(triple[there])
-        for row in rows.values():
-            for q, states in row.items():
-                states.sort()
-                row[q] = tuple(states)
-        return rows
-
-    @cached_property
-    def _succ(self):
-        """Per symbol, per source state, the sorted tuple of successors."""
-        return self._rows(0, 2)
-
-    @cached_property
-    def _pred(self):
-        """Per symbol, per target state, the sorted tuple of predecessors."""
-        return self._rows(2, 0)
-
-    def _packed(self, here: int, there: int):
-        """Per state q with transitions, an int with bit
-        ``8 * _byte_width(state_count) * j + r`` set iff a triple on
-        ``alphabet[j]`` has q at ``here`` and r at ``there``.  Not cached,
-        so that a construction does not keep the other direction's alive."""
-        width = _byte_width(self.state_count)
-        offset = {a: j * width for j, a in enumerate(self.alphabet)}
-        size = len(self.alphabet) * width
-        cells = {}
-        for triple in self.transitions:
-            q, r = triple[here], triple[there]
-            row = cells.get(q)
-            if row is None:
-                row = cells[q] = bytearray(size)
-            row[offset[triple[1]] + (r >> 3)] |= 1 << (r & 7)
-        return {q: int.from_bytes(row, "little") for q, row in cells.items()}
-
 
 def _byte_width(state_count: int) -> int:
     """Bytes in one letter's field of a packed row: at least one, and a
@@ -185,18 +149,55 @@ def _byte_width(state_count: int) -> int:
     return width if width > 8 else 1 << max(width - 1, 0).bit_length()
 
 
+def _index(nfa: Nfa, direction: str) -> dict:
+    """Per letter, in alphabet order, a dict from each state with moves on it
+    to the sorted tuple of its successors (BACKWARD: predecessors)."""
+    here, there = (0, 2) if direction == FORWARD else (2, 0)
+    index = {a: {} for a in nfa.alphabet}
+    for triple in nfa.transitions:
+        index[triple[1]].setdefault(triple[here], []).append(triple[there])
+    # In place: no second dict is built while the lists are alive.
+    for column in index.values():
+        for q, states in column.items():
+            states.sort()
+            column[q] = tuple(states)
+    return index
+
+
+def _pack(index: dict, n: int) -> dict:
+    """Per state q of ``index`` (an _index table on n states), an int with
+    bit ``8 * _byte_width(n) * j + r`` set iff r is in q's letter j tuple."""
+    width = _byte_width(n)
+    rows = {q: bytearray(len(index) * width) for q in set().union(*index.values())}
+    for offset, column in zip(count(0, width), index.values()):
+        for q, targets in column.items():
+            row = rows[q]
+            for r in targets:
+                row[offset + (r >> 3)] |= 1 << (r & 7)
+    return {q: int.from_bytes(row, "little") for q, row in rows.items()}
+
+
+def _tables_of(nfa: Nfa):
+    """Call-scoped tables of ``nfa``: ``tables(d)`` is its _index in
+    direction d and ``tables(d, True)`` the _pack rows of that, built once.
+    No reference cycle: dropping ``tables`` frees them at once."""
+    index = cache(partial(_index, nfa))
+    return cache(lambda d, packed=False: _pack(index(d), nfa.state_count) if packed else index(d))
+
+
 def count_accepting_runs(nfa: Nfa, word) -> int:
     """Exact number of accepting runs of ``word``.
 
     A run is a path through the transition relation that starts in an
     initial state and consumes the whole word; it is accepting when it ends
-    in a final state.  Counted by dynamic programming over word positions,
-    so the cost is len(word) * transitions, not the number of runs.  The
-    word is accepted iff the result is positive.
+    in a final state.  Counted by dynamic programming over word positions on
+    a forward index built per call: transitions + len(word) * transitions,
+    not the number of runs.  The word is accepted iff the result is positive.
     """
+    index = _index(nfa, FORWARD)
     counts = dict.fromkeys(nfa.initial, 1)
     for a in word:
-        rows = nfa._succ.get(a)
+        rows = index.get(a)
         if rows is None:
             raise ValueError(f"symbol not in alphabet: {a!r}")
         nxt = {}
@@ -207,26 +208,21 @@ def count_accepting_runs(nfa: Nfa, word) -> int:
     return sum(c for q, c in counts.items() if q in nfa.final)
 
 
-def _pair_search(nfa: Nfa, parent: dict, backward: bool = False, allowed=None, rows_by_symbol=None):
-    """Breadth-first search over pairs of states stepped in lockstep,
-    generating the pairs in discovery order.
+def _pair_search(nfa: Nfa, parent: dict, index: dict, seeds, allowed=None):
+    """Breadth-first search over pairs of states stepped in lockstep along
+    ``index``, an _index table, from the pairs of ``seeds`` (the initial
+    states forward, the final ones backward), generating the pairs in
+    discovery order.
 
-    Forward, the seeds are the pairs of initial states and a pair steps to
-    the pairs of its successors; backward, the seeds are the pairs of final
-    states and a pair steps to the pairs of its predecessors.  A pair
-    (p, q) is coded as the int ``p * n + q``.  When ``allowed`` is given,
-    only pairs in it are visited and the seeds are read off it, sorted,
-    which is the nested loop's order.  The empty dict ``parent`` gets
-    ``code -> (parent code, symbol)`` (seeds map to None) as the search
-    goes, which stops where its caller does.  Steps follow
-    ``rows_by_symbol``, an Nfa._rows table, else _succ or _pred.
+    A pair (p, q) is coded as the int ``p * n + q``.  When ``allowed`` is
+    given, only pairs in it are visited and the seed pairs are read off
+    it, sorted, which is the nested loop's order.  The empty dict
+    ``parent`` gets ``code -> (parent code, symbol)`` (seeds map to None)
+    as the search goes, which stops where its caller does.
     Deterministic: seeds, alphabet and successor tuples are all ordered.
     """
     n = nfa.state_count
-    seeds = nfa.final if backward else nfa.initial
-    if rows_by_symbol is None:
-        rows_by_symbol = nfa._pred if backward else nfa._succ
-    columns = [(a, rows_by_symbol[a]) for a in nfa.alphabet]
+    columns = list(index.items())
     if allowed is None:
         ordered = sorted(seeds)
         codes = (p * n + q for p in ordered for q in ordered)
@@ -261,17 +257,7 @@ def _trace_word(parent, code, reverse: bool) -> Word:
         code, a = link
         symbols.append(a)
         link = parent[code]
-    if reverse:
-        symbols.reverse()
-    return tuple(symbols)
-
-
-def _bits(mask: int):
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return tuple(reversed(symbols) if reverse else symbols)
 
 
 # Pairs are packed rows while n * n * (|alphabet| + 1) is at most this many
@@ -280,24 +266,24 @@ def _bits(mask: int):
 _PAIR_BITS = 1 << 24
 
 
-def _pair_kernel(columns: dict, packed: dict, n: int):
+def _pair_kernel(index: dict, packed: dict, n: int):
     """(rows, moves, full) for pair rows (bit q of row p for the pair
-    (p, q)) stepped along ``columns`` and ``packed``, an Nfa._rows and an
-    Nfa._packed table of one direction.  Indexed by state: rows[q] is
-    packed[q] (0 without transitions), letter j in the field from bit
-    j * f, f = 8 * _byte_width(n), and moves[p] is p's (j * f, targets)
-    in letter order.  Row p's bits q step on letter j to the bits of
-    ``image >> j * f & full``, image the OR of their rows[q]."""
+    (p, q)) stepped along ``index`` and ``packed``, an _index table and
+    its _pack rows.  Indexed by state: rows[q] is packed[q] (0 without
+    transitions), letter j in the field from bit j * f, f = 8 *
+    _byte_width(n), and moves[p] is p's (j * f, targets) in letter order.
+    Row p's bits q step on letter j to the bits of ``image >> j * f &
+    full``, image the OR of their rows[q]."""
     bits = 8 * _byte_width(n)
     rows = [packed.get(q, 0) for q in range(n)]
     moves = [[] for _ in range(n)]
-    for shift, column in zip(count(0, bits), columns.values()):
+    for shift, column in zip(count(0, bits), index.values()):
         for p, targets in column.items():
             moves[p].append((shift, targets))
     return rows, moves, (1 << bits) - 1
 
 
-def _reachable_rows(kernel, seeds: dict) -> dict:
+def _reachable(kernel, seeds: dict) -> dict:
     """The nonzero rows, by state, of the pairs reachable from the rows
     ``seeds`` along ``kernel`` (see _pair_kernel); a row waits in the
     worklist with all the bits it gained, stepped once for them."""
@@ -358,8 +344,8 @@ def _pair_layers(kernel, seeds: dict, within: dict):
 
 def _cone_parents(nfa: Nfa, succ: dict, layers: list, target: int) -> dict:
     """The backward pair search's parent links from ``target`` to a seed,
-    replayed on its cone along ``succ``, the forward rows' Nfa._rows(0, 2)
-    table; ``layers`` are that search's layers.
+    replayed on its cone along ``succ``, the forward _index table;
+    ``layers`` are that search's layers.
 
     With d the target's layer, C_d = {target} and C_(j-1) holds the pairs
     of layer j - 1 that a pair of C_j steps to, all its candidate parents.
@@ -401,26 +387,26 @@ def _cone_parents(nfa: Nfa, succ: dict, layers: list, target: int) -> dict:
     return parent
 
 
-def _row_witness_pair(nfa: Nfa, fwd_parent: dict, succ: dict):
+def _row_witness_pair(nfa: Nfa, fwd_parent: dict, tables):
     """(forward-reachable rows R, witness pair code or None, backward
-    layers computed) on packed rows, ``succ`` being Nfa._rows(0, 2).  When
+    layers computed) on packed rows of ``tables`` (see _tables_of).  When
     a layer within R first holds a pair of distinct states, the forward
-    search along ``succ`` (filling ``fwd_parent``) runs to its first such
-    pair X; the layers stop once X shows up, else the search goes on to
-    the first one in any layer.  A yes answer runs no per-pair search."""
+    search (filling ``fwd_parent``) runs to its first such pair X; the
+    layers stop once X shows up, else the search goes on to the first one
+    in any layer.  A yes answer runs no per-pair search."""
     n = nfa.state_count
     seeds = dict.fromkeys(nfa.initial, _mask(nfa.initial))
-    reach = _reachable_rows(_pair_kernel(succ, nfa._packed(0, 2), n), seeds)
+    reach = _reachable(_pair_kernel(tables(FORWARD), tables(FORWARD, True), n), seeds)
     layers = []
     if not any(row & ~(1 << p) for p, row in reach.items()):
         return reach, None, layers
     final = _mask(nfa.final)
     seeds = {p: reach[p] & final for p in nfa.final if reach.get(p, 0) & final}
     search = None
-    for layer in _pair_layers(_pair_kernel(nfa._rows(2, 0), nfa._packed(2, 0), n), seeds, reach):
+    for layer in _pair_layers(_pair_kernel(tables(BACKWARD), tables(BACKWARD, True), n), seeds, reach):
         layers.append(layer)
         if search is None and any(row & ~(1 << p) for p, row in layer.items()):
-            search = _pair_search(nfa, fwd_parent, rows_by_symbol=succ)
+            search = _pair_search(nfa, fwd_parent, tables(FORWARD), nfa.initial)
             first = next(code for code in search if code // n != code % n)
         if search is not None and layer.get(first // n, 0) >> first % n & 1:
             return reach, first, layers
@@ -433,10 +419,10 @@ def _row_witness_pair(nfa: Nfa, fwd_parent: dict, succ: dict):
     return reach, next(code for code in search if goal.get(code // n, 0) >> code % n & 1), layers
 
 
-def _unambiguity(nfa: Nfa):
+def _unambiguity(nfa: Nfa, tables=None):
     """The forward-reachable pairs, as (p, q) tuples in no set order
     (produced lazily), and a witness word, or None when no word has two
-    accepting runs.
+    accepting runs, read off ``tables`` (see _tables_of) or its own.
 
     The witness pair is the first pair of distinct states in forward
     discovery order that the backward search reaches.  That search visits
@@ -444,30 +430,28 @@ def _unambiguity(nfa: Nfa):
     Y discovers X only when X steps to Y, and then Y is forward-reachable
     if X is, so the kept pairs keep their order, parents and layers.  Up
     to _PAIR_BITS the pairs are packed rows (_row_witness_pair and
-    _cone_parents), stepped along uncached tables, so that no answer
-    leaves _succ or _pred on ``nfa``; above it both per-pair searches run
-    in full.
+    _cone_parents); above it both per-pair searches run in full.
     """
     n = nfa.state_count
+    tables = tables or _tables_of(nfa)
     fwd_parent, bwd_parent = {}, {}
     if n * n * (len(nfa.alphabet) + 1) > _PAIR_BITS:
-        fwd_order = list(_pair_search(nfa, fwd_parent))
-        for _ in _pair_search(nfa, bwd_parent, backward=True, allowed=fwd_parent):
+        fwd_order = list(_pair_search(nfa, fwd_parent, tables(FORWARD), nfa.initial))
+        for _ in _pair_search(nfa, bwd_parent, tables(BACKWARD), nfa.final, fwd_parent):
             pass
         pairs = (divmod(code, n) for code in fwd_order)
         target = next((code for code in fwd_order if code in bwd_parent and code // n != code % n), None)
     else:
-        succ = nfa._rows(0, 2)
-        reach, target, layers = _row_witness_pair(nfa, fwd_parent, succ)
+        reach, target, layers = _row_witness_pair(nfa, fwd_parent, tables)
         pairs = ((p, q) for p, row in reach.items() for q in _bits(row))
         if target is not None:
-            bwd_parent = _cone_parents(nfa, succ, layers, target)
+            bwd_parent = _cone_parents(nfa, tables(FORWARD), layers, target)
     if target is None:
         return pairs, None
     return pairs, _trace_word(fwd_parent, target, True) + _trace_word(bwd_parent, target, False)
 
 
-def is_unambiguous(nfa: Nfa):
+def is_unambiguous(nfa: Nfa, *, _tables=None):
     """Whether no word has two accepting runs.
 
     Ambiguity holds iff some pair of distinct states is both reachable from
@@ -477,11 +461,11 @@ def is_unambiguous(nfa: Nfa):
     None) or (False, witness) where the witness word has at least two
     accepting runs.  An input with at most one initial state and at most
     one successor per (state, letter) has at most one run per word, and
-    is answered yes without a pair search.
+    one set of its (source, letter) pairs answers it yes with no index.
     """
     if len(nfa.initial) <= 1 and len({t[:2] for t in nfa.transitions}) == len(nfa.transitions):
         return True, None
-    _, witness = _unambiguity(nfa)
+    _, witness = _unambiguity(nfa, _tables)
     return witness is None, witness
 
 
@@ -514,14 +498,6 @@ class SubsetAutomaton:
     @property
     def state_count(self) -> int:
         return len(self.masks)
-
-    @property
-    def transition_table(self) -> tuple:
-        """``cells`` as a tuple of row tuples, ``transition_table[i][j]``
-        for ``cells[i * w + j]``: a copy, built in O(cells) on every
-        access."""
-        w = len(self.base.alphabet)
-        return tuple(tuple(self.cells[i * w:(i + 1) * w]) for i in range(self.state_count))
 
     def _to_nfa(self, marked) -> Nfa:
         alphabet = self.base.alphabet
@@ -593,8 +569,9 @@ class _Numbering(dict):
         return number
 
 
-def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
-    """The subset construction in ``direction``, as a SubsetAutomaton.
+def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = True):
+    """The subset construction in ``direction``, as a SubsetAutomaton, on
+    ``packed``, the _pack rows of its _index, else on rows of its own.
 
     The breadth-first worklist is taken in batches, whose images are
     computed together, row-major in one flat tuple.  With ``rows``, one
@@ -607,10 +584,9 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    if direction == FORWARD:
-        packed, seed, mark_against = nfa._packed(0, 2), nfa.initial, nfa.final
-    else:
-        packed, seed, mark_against = nfa._packed(2, 0), nfa.final, nfa.initial
+    seed, mark_against = (nfa.initial, nfa.final) if direction == FORWARD else (nfa.final, nfa.initial)
+    if packed is None:
+        packed = _pack(_index(nfa, direction), nfa.state_count)
     width = _byte_width(nfa.state_count)
     # packed[q] holds q's one-letter image under alphabet[j] in bytes
     # [j * width, (j + 1) * width); n * |alphabet| * width bytes in all.
@@ -686,23 +662,23 @@ def _determinize(nfa: Nfa, direction: str, cap: int, rows: bool = True):
     return SubsetAutomaton(nfa, direction, masks, cells, marked)
 
 
-def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:
+def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP, *, _packed=None) -> SubsetAutomaton:
     """Subset construction from the initial set.
 
     Discovers exactly the subsets reachable by one-letter images, breadth
     first, seed first.  Raises CapExceededError once more than ``cap``
-    subsets would be recorded.
+    subsets would be recorded.  ``_packed``: complement_construction's.
     """
-    return _determinize(nfa, FORWARD, cap)
+    return _determinize(nfa, FORWARD, cap, _packed)
 
 
-def backward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP) -> SubsetAutomaton:
+def backward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP, *, _packed=None) -> SubsetAutomaton:
     """Subset construction from the final set along reversed transitions.
 
     Mirror image of forward_determinize; the resulting automaton is
     backward-deterministic and hence unambiguous.
     """
-    return _determinize(nfa, BACKWARD, cap)
+    return _determinize(nfa, BACKWARD, cap, _packed)
 
 
 @dataclass(frozen=True)
@@ -771,31 +747,34 @@ def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
 
     Counts both subset constructions, then builds only the smaller (ties
     keep forward) with its transition table, through forward_determinize
-    or backward_determinize; it has min(k, l) states, which for
-    unambiguous input never exceeds sqrt(n + 1) * 2**(n / 2).  The build's
-    cap is that counted size, which it reaches and never passes, so a
-    table of at most 2**16 states has 2-byte cells.  Returns
-    (SubsetAutomaton, BoundReport).
+    or backward_determinize; it has min(k, l) states, which for unambiguous
+    input never exceeds sqrt(n + 1) * 2**(n / 2).  The build's cap is that
+    counted size, which it reaches and never passes, so a table of at most
+    2**16 states has 2-byte cells.  The ambiguity check, the counts and the
+    build share one _tables_of.  Returns (SubsetAutomaton, BoundReport).
 
     Raises AmbiguousAutomatonError (carrying a witness word) when the input
     is ambiguous.  A side that exceeds ``cap`` is dropped from the choice
     and reported as None; when both sides exceed it, CapExceededError with
     direction "both" is raised.
     """
-    ok, witness = is_unambiguous(nfa)
+    tables = _tables_of(nfa)
+    ok, witness = is_unambiguous(nfa, _tables=tables)
     if not ok:
         raise AmbiguousAutomatonError(witness)
     sizes = []
     for direction in (FORWARD, BACKWARD):
         try:
-            sizes.append(_determinize(nfa, direction, cap, rows=False))
+            sizes.append(_determinize(nfa, direction, cap, tables(direction, True), rows=False))
         except CapExceededError:
             sizes.append(None)
     if sizes == [None, None]:
         raise CapExceededError("both", cap, cap)
     report = BoundReport(nfa.state_count, *sizes)
     construct = forward_determinize if report.chosen == FORWARD else backward_determinize
-    return construct(nfa, report.result_states), report
+    # Only the chosen side's rows are kept through the build.
+    packed, tables = tables(report.chosen, True), None
+    return construct(nfa, report.result_states, _packed=packed), report
 
 
 def complement_ufa(nfa: Nfa, cap: int = DEFAULT_CAP):

@@ -12,6 +12,7 @@ from itertools import combinations
 
 
 def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

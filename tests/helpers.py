@@ -382,6 +382,14 @@ def subsets(construction) -> tuple:
     return tuple(frozenset(q for q in range(n) if mask >> q & 1) for mask in construction.masks)
 
 
+def table_rows(construction) -> tuple:
+    """A subset construction's table as a tuple of row tuples, read off its
+    row-major ``cells``: ``table_rows(c)[i][j]`` is ``c.cells[i * w + j]``
+    with ``w`` its base's letter count."""
+    w = len(construction.base.alphabet)
+    return tuple(tuple(construction.cells[i * w:(i + 1) * w]) for i in range(construction.state_count))
+
+
 def equivalent(a: Nfa, b: Nfa, cap: int = DEFAULT_CAP):
     """Whether two automata over the same alphabet accept the same language.
 

@@ -19,12 +19,13 @@ from ufa import (
     complement_construction,
     complement_ufa,
     count_accepting_runs,
+    extract_graph,
     forward_determinize,
     is_unambiguous,
     measure_constructions,
 )
 from ufa import automata
-from ufa.automata import _pair_search, _unambiguity
+from ufa.automata import _index, _pair_search, _unambiguity
 from ufa.bridge import witness_ufa
 from helpers import (
     a_plus,
@@ -42,6 +43,7 @@ from helpers import (
     reference_rows,
     seed_pairs,
     subsets,
+    table_rows,
     two_loop,
     word_run_counts,
 )
@@ -136,9 +138,9 @@ def pair_searches(monkeypatch):
     calls = []
     engine = automata._unambiguity
 
-    def spy(nfa):
+    def spy(nfa, *args):
         calls.append(nfa)
-        return engine(nfa)
+        return engine(nfa, *args)
 
     monkeypatch.setattr(automata, "_unambiguity", spy)
     return calls
@@ -220,6 +222,16 @@ def _dfa_with_twin(rng) -> Nfa:
     if copied in final:
         final = final | {twin}
     return Nfa(n + 1, alphabet, transitions, {start}, final)
+
+
+def _recording(calls: list, name: str, engine):
+    """``engine``, appending ``name`` to ``calls`` on each call."""
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return engine(*args, **kwargs)
+
+    return spy
 
 
 # Values of automata._PAIR_BITS that force each path of the pair test.
@@ -333,16 +345,17 @@ class TestPairSearchAgainstTheOracle:
         checked = 0
         for _ in range(400):
             nfa = rng.choice((_random_automaton, _dfa_with_twin))(rng)
-            reach, _, layers = automata._row_witness_pair(nfa, {}, nfa._rows(0, 2))
+            reach, _, layers = automata._row_witness_pair(nfa, {}, automata._tables_of(nfa))
             for layer in layers:
                 for p, row in layer.items():
                     assert row & ~reach.get(p, 0) == 0
                     checked += 1
         assert checked >= 100
 
-    def test_size_rule_and_the_yes_path_reads_no_per_pair_rows(self, monkeypatch):
-        # The rows path builds only the packed tables; a yes answer never
-        # builds the per-state rows that the per-pair search reads.
+    def test_the_size_rule_picks_the_path(self, monkeypatch):
+        # At n * n * (|alphabet| + 1) bits the pairs are packed rows, one bit
+        # fewer and they are searched one by one.  Both inputs are answered
+        # yes, so the rows path starts no per-pair search.
         rng = random.Random(150)
         n = 150
         targets, start, final = _random_dfa(rng, n, 2)
@@ -351,22 +364,14 @@ class TestPairSearchAgainstTheOracle:
             size = nfa.state_count ** 2 * (len(nfa.alphabet) + 1)
             for bits, per_pair in ((size, False), (size - 1, True)):
                 monkeypatch.setattr(automata, "_PAIR_BITS", bits)
-                fresh = Nfa(nfa.state_count, nfa.alphabet, nfa.transitions, nfa.initial, nfa.final)
+                calls = []
+                for name in ("_row_witness_pair", "_pair_search"):
+                    monkeypatch.setattr(automata, name, _recording(calls, name, getattr(automata, name)))
                 # _unambiguity itself: is_unambiguous answers the DFA before
                 # either path runs.
-                assert _unambiguity(fresh)[1] is None
-                assert ("_succ" in vars(fresh), "_pred" in vars(fresh)) == (per_pair, per_pair)
-
-    def test_a_no_on_the_rows_path_caches_no_rows(self, monkeypatch):
-        # The rows path steps its kernels, its forward search and its cone
-        # along uncached tables; the per-pair path reads the cached ones.
-        rng = random.Random(21)
-        for path, per_pair in (("rows", False), ("pairs", True)):
-            monkeypatch.setattr(automata, "_PAIR_BITS", PAIR_PATHS[path])
-            for _ in range(3):
-                nfa = _planted_twin(rng, rng.randint(100, 200), 2)
-                assert not is_unambiguous(nfa)[0]
-                assert ("_succ" in vars(nfa), "_pred" in vars(nfa)) == (per_pair, per_pair), path
+                assert _unambiguity(nfa)[1] is None
+                assert calls == (["_pair_search"] * 2 if per_pair else ["_row_witness_pair"])
+                monkeypatch.undo()
 
     @pytest.mark.parametrize("n", [8, 9, 16, 17, 64, 65, 72])
     def test_field_boundaries(self, monkeypatch, n):
@@ -382,7 +387,7 @@ class TestPairSearchAgainstTheOracle:
                 assert sorted(_unambiguity(nfa)[0]) == reachable, path
             # The backward layers are the oracle's breadth-first layers
             # within the reachable pairs, as far as they go.
-            _, _, layers = automata._row_witness_pair(nfa, {}, nfa._rows(0, 2))
+            _, _, layers = automata._row_witness_pair(nfa, {}, automata._tables_of(nfa))
             rows = reference_rows(nfa, backward=True)
             within = set(reachable)
             layer = set(seed_pairs(nfa.final)) & within
@@ -417,8 +422,8 @@ class TestPairSearchAgainstTheOracle:
             nfa = rng.choice((_random_automaton, _dfa_with_twin))(rng)
             n = nfa.state_count
             forward, parent = {}, {}
-            list(_pair_search(nfa, forward))
-            order = list(_pair_search(nfa, parent, backward=True, allowed=forward))
+            list(_pair_search(nfa, forward, _index(nfa, FORWARD), nfa.initial))
+            order = list(_pair_search(nfa, parent, _index(nfa, BACKWARD), nfa.final, allowed=forward))
             full_order, full_parent = reference_pair_search(
                 seed_pairs(nfa.final), nfa.alphabet, reference_rows(nfa, backward=True)
             )
@@ -442,11 +447,87 @@ class TestPairSearchAgainstTheOracle:
             {start}, final,
         )
         forward, backward = {}, {}
-        list(_pair_search(nfa, forward))
-        list(_pair_search(nfa, backward, backward=True, allowed=forward))
+        list(_pair_search(nfa, forward, _index(nfa, FORWARD), nfa.initial))
+        list(_pair_search(nfa, backward, _index(nfa, BACKWARD), nfa.final, allowed=forward))
         assert all(code % (n + 1) == 0 for code in forward)
         assert 1 <= len(backward) <= n
         assert is_unambiguous(nfa) == (True, None)
+
+
+def _one_index_calls():
+    """(name, automaton, call) for each public entry point that reads the
+    index: yes and no answers of the pair test, the deterministic fast
+    path, run counting, both determinizations, both counts, the complement
+    with and without a side over the cap, and the graph."""
+    rng = random.Random(22)
+    ufa = witness_ufa(6)
+    twin = _planted_twin(rng, 120, 2)
+    targets, start, final = _random_dfa(rng, 30, 2)
+    dfa = Nfa(30, ("a", "b"), {(q, a, targets[q][j]) for q in range(30) for j, a in enumerate("ab")}, {start}, final)
+    return [
+        ("yes", ufa, is_unambiguous),
+        ("no", twin, is_unambiguous),
+        ("dfa", dfa, is_unambiguous),
+        ("runs", twin, lambda nfa: count_accepting_runs(nfa, ("a", "b") * 3)),
+        ("forward", ufa, forward_determinize),
+        ("backward", ufa, backward_determinize),
+        ("measure", ufa, measure_constructions),
+        ("complement", ufa, complement_construction),
+        # k = 18 and l = 20: the backward count hits the cap.
+        ("complement capped", ufa, lambda nfa: complement_construction(nfa, cap=19)),
+        ("graph", ufa, extract_graph),
+    ]
+
+
+class TestOneIndexPerCall:
+    """Each public call builds each direction's index, and its packed
+    rows, at most once, and leaves nothing cached on the automaton."""
+
+    @pytest.mark.parametrize("path", PAIR_PATHS)
+    def test_each_direction_is_built_at_most_once(self, monkeypatch, path):
+        monkeypatch.setattr(automata, "_PAIR_BITS", PAIR_PATHS[path])
+        index, pack = automata._index, automata._pack
+        built, packs = [], []
+
+        def index_spy(nfa, direction):
+            built.append(direction)
+            return index(nfa, direction)
+
+        def pack_spy(table, n):
+            # The table itself, so that no id is reused while it is listed.
+            packs.append(table)
+            return pack(table, n)
+
+        monkeypatch.setattr(automata, "_index", index_spy)
+        monkeypatch.setattr(automata, "_pack", pack_spy)
+        for name, source, call in _one_index_calls():
+            # A fresh copy: nothing another call left behind is read.
+            nfa = Nfa(source.state_count, source.alphabet, source.transitions, source.initial, source.final)
+            built.clear()
+            packs.clear()
+            call(nfa)
+            assert set(vars(nfa)) == set(Nfa.__dataclass_fields__), name
+            assert len(built) == len(set(built)), name
+            assert len(packs) == len(set(map(id, packs))) <= len(built), name
+            assert (name != "dfa") == bool(built), name
+
+    def test_the_index_is_the_reference_rows(self):
+        rng = random.Random(41)
+        cases = [_random_automaton(rng) for _ in range(150)] + [random_nfa_any(rng) for _ in range(50)]
+        cases += [Nfa(4, (), set(), {0}, {3}), _padded(_random_automaton(rng), 64), witness_ufa(5)]
+        for nfa in cases:
+            n = nfa.state_count
+            for direction in (FORWARD, BACKWARD):
+                index = automata._index(nfa, direction)
+                assert index == reference_rows(nfa, backward=direction == BACKWARD)
+                assert list(index) == list(nfa.alphabet)
+                # Bit f * j + r of q's packed row for r in its j-th tuple.
+                f = 8 * automata._byte_width(n)
+                expected = {}
+                for j, column in enumerate(index.values()):
+                    for q, targets in column.items():
+                        expected[q] = expected.get(q, 0) | sum(1 << f * j + r for r in targets)
+                assert automata._pack(index, n) == expected
 
 
 class TestDeterminize:
@@ -520,7 +601,7 @@ def _engine_determinize(nfa, direction, cap):
     construct = forward_determinize if direction == FORWARD else backward_determinize
     result = construct(nfa, cap)
     # The seed is always state 0, so the oracle's entry must be 0 too.
-    return subsets(result), result.transition_table, 0, result.marked
+    return subsets(result), table_rows(result), 0, result.marked
 
 
 def _outcome(build, nfa, direction, cap):
@@ -672,7 +753,7 @@ class TestRowsFreeConstruction:
                 assert automata._determinize(nfa, direction, DEFAULT_CAP, rows=False) == len(states)
                 result = automata._determinize(nfa, direction, DEFAULT_CAP, rows=True)
                 assert subsets(result) == states
-                assert (result.transition_table, result.marked) == (table, marked)
+                assert (table_rows(result), result.marked) == (table, marked)
 
 
 def _padded(nfa, states) -> Nfa:
@@ -696,8 +777,10 @@ def image_path(request, monkeypatch):
     if pad:
         engine = automata._determinize
 
-        def padded(nfa, *args, **kwargs):
-            return engine(_padded(nfa, pad), *args, **kwargs)
+        def padded(nfa, direction, cap, packed=None, *args, **kwargs):
+            # Rows passed down are the unpadded input's: the padded one
+            # builds its own.
+            return engine(_padded(nfa, pad), direction, cap, None, *args, **kwargs)
 
         monkeypatch.setattr(automata, "_determinize", padded)
 
@@ -723,8 +806,7 @@ class TestFlatCells:
                 cells = result.cells
                 assert isinstance(cells, array) and cells.typecode == "I"
                 assert len(cells) == result.state_count * width
-                rows = tuple(tuple(cells[i * width:(i + 1) * width]) for i in range(result.state_count))
-                assert rows == result.transition_table == table
+                assert table_rows(result) == table
 
 
 @pytest.mark.usefixtures("image_path")
@@ -852,9 +934,9 @@ def _recording_determinize(calls: list):
     to ``calls``."""
     engine = automata._determinize
 
-    def spy(nfa, direction, cap, rows=True):
+    def spy(nfa, direction, cap, packed=None, rows=True):
         calls.append((direction, cap, rows))
-        return engine(nfa, direction, cap, rows)
+        return engine(nfa, direction, cap, packed, rows)
 
     return spy
 
@@ -873,7 +955,7 @@ def _assert_chosen_side_is_the_full_construction(nfa, cap=DEFAULT_CAP):
         (report.chosen, report.result_states, True),
     ]
     construct = forward_determinize if report.chosen == FORWARD else backward_determinize
-    fields = attrgetter("direction", "masks", "transition_table", "marked")
+    fields = attrgetter("direction", "masks", "cells", "marked")
     assert fields(construction) == fields(construct(nfa, cap))
     return report
 
@@ -916,12 +998,12 @@ class TestComplementKeepsOneTable:
 
 def _validated_view(construction, accepting) -> Nfa:
     """The construction as a checked Nfa, its triples read off
-    ``transition_table``."""
+    ``table_rows``."""
     alphabet = construction.base.alphabet
     forward = construction.direction == FORWARD
     triples = {
         (i, a, j) if forward else (j, a, i)
-        for i, row in enumerate(construction.transition_table)
+        for i, row in enumerate(table_rows(construction))
         for a, j in zip(alphabet, row)
     }
     initial, final = ({0}, accepting) if forward else (accepting, {0})

@@ -29,7 +29,7 @@ from ufa import (
     write_subset_automaton,
 )
 from ufa import formats
-from helpers import a_plus, a_star, random_nfa, random_nfa_any
+from helpers import a_plus, a_star, random_nfa, random_nfa_any, table_rows
 
 A_PLUS_TEXT = """nfa 2
 alphabet a
@@ -253,7 +253,7 @@ def _wide_automaton(letters: int) -> Nfa:
 
 
 def _busiest_source_cells(construction) -> int:
-    return max(Counter(chain.from_iterable(construction.transition_table)).values())
+    return max(Counter(chain.from_iterable(table_rows(construction))).values())
 
 
 class TestSerializeSubsetAutomaton:
