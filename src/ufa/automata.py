@@ -12,9 +12,11 @@ The subset constructions represent a subset of base states as an int mask
 for all letters are packed into one int, and a subset's images are the OR
 of memoized chunk images, one per byte of its mask.  Subsets are stepped
 in batches: masks of up to 8 bytes one byte column of the whole batch at a
-time, wider ones one mask at a time over its nonzero bytes.  One ``struct``
-call unpacks a batch's images into one flat tuple of per-letter fields,
-which one set counts or one lookup pass numbers.
+time, wider ones one mask at a time over its nonzero bytes.  A narrow
+batch is ORed by subset, or by byte lane, one ``bytes.translate`` per
+column, when its images have fewer bytes (lanes) than it has subsets.  One
+``struct`` call unpacks a batch's images into one flat tuple of
+per-letter fields, which one set counts or one lookup pass numbers.
 
 is_unambiguous works on pairs of states.  Small inputs keep them as packed
 rows (bit q of row p for the pair (p, q)), stop at the witness pair and
@@ -37,7 +39,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import or_
 
 from .graphs import _bits
@@ -551,6 +553,35 @@ def _part(packed: dict, base: int, byte: int) -> int:
     return reduce(or_, [packed.get(base + i, 0) for i in range(8) if byte >> i & 1])
 
 
+def _row_images(stripes, parts, tables, lanes: int):
+    """A narrow batch's images, ``lanes`` bytes a subset, joined row-major:
+    each is the OR of its bytes' parts, ``stripes[i]`` holding byte i of
+    each subset and ``parts[i]`` that column's _part memo, filled for it."""
+    found = reduce(partial(map, or_), map(map, (part.__getitem__ for part in parts), stripes))
+    return b"".join(map(int.to_bytes, found, repeat(lanes), repeat("little")))
+
+
+def _column_images(stripes, parts, tables: list, lanes: int):
+    """_row_images's result, one byte lane at a time: lane b ORs, over the
+    columns i, ``stripes[i]`` translated by a table of byte b of each
+    parts[i] entry, and one strided slice writes it.  ``tables`` keeps per
+    column its tables (b's from 256 * b) and how many entries they hold."""
+    if not tables:
+        tables += ([bytearray(256 * lanes), 0] for _ in parts)
+    for entry, part in zip(tables, parts):
+        for byte, image in islice(part.items(), entry[1], None):
+            entry[0][byte::256] = image.to_bytes(lanes, "little")
+        entry[1] = len(part)
+    size = len(stripes[0])
+    joined = bytearray(size * lanes)
+    for b in range(lanes):
+        lane = 0
+        for stripe, (table, _) in zip(stripes, tables):
+            lane |= int.from_bytes(stripe.translate(table[256 * b:256 * b + 256]), "little")
+        joined[b::lanes] = lane.to_bytes(size, "little")
+    return joined
+
+
 class _Numbering(dict):
     """The state numbers of a construction's ``subsets``, a list it
     extends: a subset looked up for the first time is numbered next,
@@ -574,7 +605,10 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
     ``packed``, the _pack rows of its _index, else on rows of its own.
 
     The breadth-first worklist is taken in batches, whose images are
-    computed together, row-major in one flat tuple.  With ``rows``, one
+    computed together, row-major in one flat tuple.  Masks of at most 8
+    bytes are striped by byte column; a batch of more subsets than its
+    images have bytes (lanes) is stepped by lane (_column_images), any
+    other by subset (_row_images).  With ``rows``, one
     pass of _Numbering lookups turns a batch's images into its rows, a
     new subset numbered where it first occurs, and appends them to the
     construction's ``cells``, one row-major ``array("H")`` when ``cap`` is
@@ -596,11 +630,14 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
     code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width, f"{width}s")
     field = struct.Struct("<" + code)
     letters = len(nfa.alphabet)
+    lanes = letters * width
     as_mask = int if narrow else partial(int.from_bytes, byteorder="little")
     size = max(1, _BATCH_CELLS // ((letters or 1) * -(-width // 8)))
     # Memos of _part, keyed by what is used, as n may be huge: per byte
     # column i by byte when narrow, else one by 256 * i + byte.
     parts = [{0: 0} for _ in range((nfa.state_count + 7) // 8 or 1)] if narrow else {}
+    # _column_images's, made on its first call.
+    tables = []
 
     def image(subset):
         mask, found = as_mask(subset), 0
@@ -618,18 +655,15 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
         """The images of the subsets of ``batch``, row-major in one flat
         tuple: ``len(alphabet)`` fields per subset, in batch order."""
         if narrow:
-            # Stripe i holds byte i of each subset; an image is the OR of
-            # the parts of its bytes.
+            # Stripe i holds byte i of each subset.  By lane when that
+            # takes fewer calls: lanes x columns, not subsets x columns.
             joined = struct.pack(f"<{len(batch)}{code}", *batch)
             stripes = [joined[i::width] for i in range(len(parts))]
             for i, stripe in enumerate(stripes):
                 parts[i].update((byte, _part(packed, 8 * i, byte)) for byte in set(stripe).difference(parts[i]))
-            found = reduce(partial(map, or_), map(map, (part.__getitem__ for part in parts), stripes))
-        else:
-            found = map(image, batch)
-        joined = b"".join(map(int.to_bytes, found, repeat(letters * width), repeat("little")))
-        if narrow:
-            return struct.unpack(f"<{len(batch) * letters}{code}", joined)
+            kernel = _column_images if lanes < len(batch) else _row_images
+            return struct.unpack(f"<{len(batch) * letters}{code}", kernel(stripes, parts, tables, lanes))
+        joined = b"".join(map(int.to_bytes, map(image, batch), repeat(lanes), repeat("little")))
         return tuple(chain.from_iterable(field.iter_unpack(joined)))
 
     subsets = list(field.unpack(_mask(seed).to_bytes(width, "little")))

@@ -762,18 +762,52 @@ def _padded(nfa, states) -> Nfa:
     return Nfa(nfa.state_count + states, nfa.alphabet, nfa.transitions, nfa.initial, nfa.final)
 
 
+# A narrow batch's two orientations, by the name of their kernel.
+ORIENTATIONS = {"rows": "_row_images", "columns": "_column_images"}
+
+
+def _one_orientation(monkeypatch, orientation: str):
+    """Send every narrow batch through one of ORIENTATIONS, whichever the
+    rule would pick."""
+    kernel = getattr(automata, ORIENTATIONS[orientation])
+    for name in ORIENTATIONS.values():
+        monkeypatch.setattr(automata, name, kernel)
+
+
+def _image_calls(monkeypatch) -> list:
+    """A list that gets, for each narrow batch, (name of the kernel that
+    steps it, subsets in the batch, lanes)."""
+    calls = []
+    for name in ORIENTATIONS.values():
+
+        def spy(stripes, parts, tables, lanes, kernel=getattr(automata, name)):
+            calls.append((kernel.__name__, len(stripes[0]), lanes))
+            return kernel(stripes, parts, tables, lanes)
+
+        monkeypatch.setattr(automata, name, spy)
+    return calls
+
+
 @pytest.fixture(params=[
     (0, 1), (0, 6), (0, automata._BATCH_CELLS),
     (64, 1), (64, 6), (64, automata._BATCH_CELLS),
-], ids=lambda p: f"pad{p[0]}-cells{p[1]}")
+    (0, 1, "columns"), (0, 6, "columns"), (0, automata._BATCH_CELLS, "columns"),
+    (0, automata._BATCH_CELLS, "rows"),
+], ids=lambda p: "-".join((f"pad{p[0]}", f"cells{p[1]}", *p[2:])))
 def image_path(request, monkeypatch):
     """The ways _determinize takes images: on inputs as given (byte
     columns up to 8 bytes, the per-subset loop above) or padded with 64
     states without transitions, which sends every input with states down
     the per-subset loop; in batches of one subset, of 6 // |alphabet|
-    narrow subsets (2 to 6 of them), or the default."""
-    pad, cells = request.param
+    narrow subsets (2 to 6 of them), or the default.  A narrow batch is
+    stepped in one of two orientations: by byte lane (_column_images)
+    when it has more subsets than its images have bytes (lanes), else by
+    subset (_row_images); the last four settings send every narrow batch
+    through one of them."""
+    pad, cells, *orientation = request.param
     monkeypatch.setattr(automata, "_BATCH_CELLS", cells)
+    if orientation:
+        _one_orientation(monkeypatch, *orientation)
     if pad:
         engine = automata._determinize
 
@@ -927,6 +961,122 @@ def test_a_table_of_2_to_the_16_states_fits_two_bytes():
     assert narrow.state_count == 1 << 16 and max(narrow.cells) == (1 << 16) - 1
     assert narrow.cells.tolist() == wide.cells.tolist()
     assert (narrow.masks, narrow.marked) == (wide.masks, wide.marked)
+
+
+def _assert_both_modes_match_reference(nfa, cap=3000):
+    """Rows and count mode give the oracle's construction or its size, or
+    its cap error with the same fields and message, both ways."""
+    for direction in (FORWARD, BACKWARD):
+        expected = _size_outcome(reference_determinize, nfa, direction, cap)
+        assert _size_outcome(_engine_determinize, nfa, direction, cap) == expected
+        size = expected if expected[0] == "cap" else len(expected[0])
+        assert _size_outcome(_rows_free, nfa, direction, cap) == size
+
+
+def _checked_orientations(setting: str, calls: list) -> int:
+    """Assert that each batch of ``calls`` (see _image_calls) took the
+    orientation of ``setting``, "columns" or the "rule"; return how many
+    were stepped by byte lane."""
+    for name, subsets, lanes in calls:
+        by_lanes = setting == "columns" or lanes < subsets
+        assert name == ORIENTATIONS["columns" if by_lanes else "rows"]
+    return sum(name == "_column_images" for name, _, _ in calls)
+
+
+class TestByteLanes:
+    """Narrow batches stepped by byte lane (_column_images), where the
+    rule picks it or on every batch, against the frozenset oracle in rows
+    and count mode."""
+
+    @pytest.fixture(params=["rule", "columns"])
+    def setting(self, request, monkeypatch):
+        """(setting, _image_calls list)."""
+        if request.param == "columns":
+            _one_orientation(monkeypatch, "columns")
+        return request.param, _image_calls(monkeypatch)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 64])
+    def test_field_boundaries(self, setting, n):
+        setting, calls = setting
+        rng = random.Random(n)
+        base = nth_letter_dfa(min(n, 10)) if n > 1 else Nfa(1, ("a", "b"), {(0, "a", 0)}, {0}, {0})
+        cases = [_padded(base, n - base.state_count), Nfa(n, (), set(), {0}, {n - 1})]
+        cases += [_sparse_nfa(rng, n, letters) for letters in (1, 2, 3)]
+        for nfa in cases:
+            _assert_both_modes_match_reference(nfa)
+        _checked_orientations(setting, calls)
+        # One state has at most two subsets, too few for the rule to step
+        # a batch of them by lane.
+        by_lanes = any(name == "_column_images" and lanes for name, _, lanes in calls)
+        assert by_lanes == ((setting, n) != ("rule", 1))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_lanes_next_to_the_batch_size(self, monkeypatch, setting, offset):
+        # Full batches of lanes + offset subsets: by the rule only those of
+        # lanes + 1 are stepped by byte lane.
+        setting, calls = setting
+        for nfa in (nth_letter_dfa(8), nth_letter_dfa(10), _sparse_nfa(random.Random(1), 12, 3)):
+            letters = len(nfa.alphabet)
+            lanes = letters * automata._byte_width(nfa.state_count)
+            monkeypatch.setattr(automata, "_BATCH_CELLS", letters * (lanes + offset))
+            calls.clear()
+            _assert_both_modes_match_reference(nfa)
+            _checked_orientations(setting, calls)
+            assert any(subsets == lanes + offset for _, subsets, _ in calls)
+
+    def test_no_letters_no_states_no_seed(self, setting):
+        setting, calls = setting
+        transitions = {(0, "a", 1), (1, "b", 2), (2, "a", 0)}
+        for nfa in (
+            Nfa(3, (), set(), {0}, {1}),
+            Nfa(0, (), set(), set(), set()),
+            Nfa(0, ("a", "b"), set(), set(), set()),
+            Nfa(4, ("a", "b"), transitions, set(), {2}),
+            Nfa(4, ("a", "b"), transitions, {0}, set()),
+            Nfa(4, (), set(), set(), set()),
+        ):
+            _assert_both_modes_match_reference(nfa)
+        assert _checked_orientations(setting, calls) > 0
+
+    def test_a_cap_inside_a_batch_stepped_by_lanes(self, setting):
+        # Backward, nth-letter n = 12 goes from 64 to 128 known subsets in
+        # a batch of 32, from 512 to 1024 in one of 256, in both modes.
+        setting, calls = setting
+        nfa = nth_letter_dfa(12)
+        for cap in (100, 1000):
+            expected = _size_outcome(reference_determinize, nfa, BACKWARD, cap)
+            assert expected == (
+                "cap", BACKWARD, cap, cap,
+                f"state limit exceeded: backward determinization stopped after "
+                f"discovering {cap} subsets (cap {cap})",
+            )
+            for build in (_engine_determinize, _rows_free):
+                calls.clear()
+                assert _size_outcome(build, nfa, BACKWARD, cap) == expected
+                _checked_orientations(setting, calls)
+                assert calls[-1] == ("_column_images", 32 if cap == 100 else 256, 4)
+
+    def test_the_rule_picks_the_orientation(self):
+        # Backward, nth-letter n = 12 has 4 lanes: by default its batches
+        # of 8 to 1024 subsets are stepped by byte lane, and so are its
+        # full batches of 32 at 64 cells.  Witness n = 10 has 360 lanes,
+        # against full batches of 22 subsets: never.
+        def batches(nfa, cells, rows):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(automata, "_BATCH_CELLS", cells)
+                calls = _image_calls(patch)
+                automata._determinize(nfa, BACKWARD, DEFAULT_CAP, rows=rows)
+            _checked_orientations("rule", calls)
+            return calls
+
+        for rows in (True, False):
+            calls = batches(nth_letter_dfa(12), automata._BATCH_CELLS, rows)
+            assert [name for name, _, _ in calls] == ["_row_images"] * 4 + ["_column_images"] * 8
+            full = [name for name, subsets, _ in batches(nth_letter_dfa(12), 64, rows) if subsets == 32]
+            assert full and set(full) == {"_column_images"}
+            calls = batches(witness_ufa(10), automata._BATCH_CELLS, rows)
+            assert {name for name, _, _ in calls} == {"_row_images"}
+            assert ("_row_images", 22, 360) in calls
 
 
 def _recording_determinize(calls: list):
