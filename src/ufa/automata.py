@@ -8,20 +8,21 @@ per direction (_index) or its packed rows, built at most once per public
 call (_tables_of) and never cached on the Nfa, which a construction keeps.
 
 The subset constructions represent a subset of base states as an int mask
-(bit q set iff state q is a member).  Each base state's one-letter images
-for all letters are packed into one int, and a subset's images are the OR
-of memoized chunk images, one per byte of its mask.  Subsets are stepped
-in batches: masks of up to 8 bytes one byte column of the whole batch at a
-time, wider ones one mask at a time over its nonzero bytes.  A narrow
-batch is ORed by subset, or by byte lane, one ``bytes.translate`` per
-column, when its images have fewer bytes (lanes) than it has subsets.  One
-``struct`` call unpacks a batch's images into one flat tuple of
-per-letter fields, which one set counts or one lookup pass numbers.
+(bit q set iff state q is a member) at every width.  Each base state's
+one-letter images for all letters are packed into one int, and a subset's
+images are the OR of memoized chunk images, one per byte of its mask.
+Counting and building step one breadth-first worklist in batches: masks
+of up to 8 bytes one byte column of the whole batch at a time, wider ones
+one mask at a time over its nonzero bytes.  A narrow batch is ORed by
+subset, or by byte lane, one ``bytes.translate`` per column, when its
+images have fewer bytes (lanes) than it has subsets.  A batch's images
+split into one flat tuple of per-letter int fields (by ``struct`` when
+narrow), which one set difference counts or one lookup pass numbers.
 
 is_unambiguous works on pairs of states.  Small inputs keep them as packed
 rows (bit q of row p for the pair (p, q)), stop at the witness pair and
-replay only its backward chain; larger ones search pairs one by one,
-backward only over the pairs the forward search reached.
+search pair by pair only its backward cone; larger ones search pairs one
+by one, backward only over the pairs the forward search reached.
 
 complement_construction counts both sides without rows, then builds only
 the chosen one, capped at its counted size, with its transition table:
@@ -40,7 +41,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import chain, compress, count, islice, repeat
-from operator import or_
+from operator import itemgetter, or_
 
 from .graphs import _bits
 
@@ -344,48 +345,33 @@ def _pair_layers(kernel, seeds: dict, within: dict):
                 unseen[p] ^= new
 
 
-def _cone_parents(nfa: Nfa, succ: dict, layers: list, target: int) -> dict:
+def _cone_parents(nfa: Nfa, tables, layers: list, target: int) -> dict:
     """The backward pair search's parent links from ``target`` to a seed,
-    replayed on its cone along ``succ``, the forward _index table;
-    ``layers`` are that search's layers.
+    read off ``tables`` (see _tables_of); ``layers`` are that search's
+    layers within the forward-reachable pairs.
 
     With d the target's layer, C_d = {target} and C_(j-1) holds the pairs
-    of layer j - 1 that a pair of C_j steps to, all its candidate parents.
-    C_0 is ranked by code.  For j = 1..d, X in C_j takes as parent the Y
-    in C_(j-1) with the least (rank of Y, letter index), and C_j is ranked
-    by (that key, code of X): the backward queue's order, as the pairs a Y
-    finds on one letter are queued by their places in sorted predecessor
-    tuples, that is by code.
+    of layer j - 1 that a pair of C_j steps to along the forward _index:
+    all the candidate parents of C_j.  So _pair_search restricted to the
+    cone, the union of the C_j, queues each layer's cone pairs in the full
+    search's order and gives each the full search's parent.
     """
     n = nfa.state_count
-    columns = list(succ.values())
+    columns = list(tables(FORWARD).values())
     depth = next(d for d, layer in enumerate(layers) if layer.get(target // n, 0) >> target % n & 1)
-    # Each cone maps its pairs to their (letter index, candidate parent)s.
-    cones = [{target: []}]
-    for layer in layers[depth - 1::-1] if depth else ():
-        below = {}
-        for code, links in cones[-1].items():
+    cone, above = {target}, {target}
+    for layer in reversed(layers[:depth]):
+        below = set()
+        for code in above:
             p, q = divmod(code, n)
-            for letter, rows in enumerate(columns):
-                targets = rows.get(q)
-                if not targets:
-                    continue
+            for rows in columns:
                 for p2 in rows.get(p, ()):
                     mask = layer.get(p2, 0)
-                    for q2 in targets:
-                        if mask >> q2 & 1:
-                            links.append((letter, p2 * n + q2))
-                            below.setdefault(p2 * n + q2, [])
-        cones.append(below)
-    rank = {code: i for i, code in enumerate(sorted(cones.pop()))}
-    parent = dict.fromkeys(rank)
-    while cones:
-        keys = {}
-        for code, links in cones.pop().items():
-            letter, above = min(links, key=lambda link: (rank[link[1]], link[0]))
-            parent[code] = (above, nfa.alphabet[letter])
-            keys[code] = (rank[above], letter, code)
-        rank = {code: i for i, code in enumerate(sorted(keys, key=keys.get))}
+                    below.update(p2 * n + q2 for q2 in rows.get(q, ()) if mask >> q2 & 1)
+        cone |= below
+        above = below
+    parent = {}
+    next(code for code in _pair_search(nfa, parent, tables(BACKWARD), nfa.final, cone) if code == target)
     return parent
 
 
@@ -431,8 +417,9 @@ def _unambiguity(nfa: Nfa, tables=None):
     only forward-reachable pairs, which cannot change the witness: a pair
     Y discovers X only when X steps to Y, and then Y is forward-reachable
     if X is, so the kept pairs keep their order, parents and layers.  Up
-    to _PAIR_BITS the pairs are packed rows (_row_witness_pair and
-    _cone_parents); above it both per-pair searches run in full.
+    to _PAIR_BITS the pairs are packed rows (_row_witness_pair) and the
+    backward per-pair search runs on the witness's cone (_cone_parents);
+    above it both per-pair searches run in full.
     """
     n = nfa.state_count
     tables = tables or _tables_of(nfa)
@@ -447,7 +434,7 @@ def _unambiguity(nfa: Nfa, tables=None):
         reach, target, layers = _row_witness_pair(nfa, fwd_parent, tables)
         pairs = ((p, q) for p, row in reach.items() for q in _bits(row))
         if target is not None:
-            bwd_parent = _cone_parents(nfa, tables(FORWARD), layers, target)
+            bwd_parent = _cone_parents(nfa, tables, layers, target)
     if target is None:
         return pairs, None
     return pairs, _trace_word(fwd_parent, target, True) + _trace_word(bwd_parent, target, False)
@@ -604,17 +591,17 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
     """The subset construction in ``direction``, as a SubsetAutomaton, on
     ``packed``, the _pack rows of its _index, else on rows of its own.
 
-    The breadth-first worklist is taken in batches, whose images are
-    computed together, row-major in one flat tuple.  Masks of at most 8
-    bytes are striped by byte column; a batch of more subsets than its
-    images have bytes (lanes) is stepped by lane (_column_images), any
-    other by subset (_row_images).  With ``rows``, one
-    pass of _Numbering lookups turns a batch's images into its rows, a
+    One breadth-first worklist of int masks is taken in batches, whose
+    images are computed together, row-major in one flat tuple of int
+    fields.  Masks of at most 8 bytes are striped by byte column; a batch
+    of more subsets than its images have bytes (lanes) is stepped by lane
+    (_column_images), any other by subset (_row_images).  With ``rows``,
+    one pass of _Numbering lookups turns a batch's images into its rows, a
     new subset numbered where it first occurs, and appends them to the
     construction's ``cells``, one row-major ``array("H")`` when ``cap`` is
-    at most 2**16, else ``array("I")``.  Without, the subsets are only
-    counted, a layer at a time and a set per batch, with no table or
-    ``marked`` set, and the return value is the number of subsets.
+    at most 2**16, else ``array("I")``.  Without, a batch's new subsets,
+    one set difference from the known ones, join the worklist in set
+    order; the return value is their number, with no table or ``marked``.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -624,23 +611,25 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
     width = _byte_width(nfa.state_count)
     # packed[q] holds q's one-letter image under alphabet[j] in bytes
     # [j * width, (j + 1) * width); n * |alphabet| * width bytes in all.
-    # Subsets are kept, and looked up, as unpacking an image yields them:
-    # ints up to 8 bytes, little-endian bytes above.
     narrow = width <= 8
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width, f"{width}s")
-    field = struct.Struct("<" + code)
     letters = len(nfa.alphabet)
     lanes = letters * width
-    as_mask = int if narrow else partial(int.from_bytes, byteorder="little")
     size = max(1, _BATCH_CELLS // ((letters or 1) * -(-width // 8)))
     # Memos of _part, keyed by what is used, as n may be huge: per byte
     # column i by byte when narrow, else one by 256 * i + byte.
     parts = [{0: 0} for _ in range((nfa.state_count + 7) // 8 or 1)] if narrow else {}
     # _column_images's, made on its first call.
     tables = []
+    if narrow:
+        code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    else:
+        # Cuts an image's bytes into its letter fields, a tuple whatever
+        # the letter count (itemgetter of one slice returns it bare).
+        fields = map(slice, range(0, lanes, width), range(width, lanes + width, width))
+        cut = itemgetter(*fields) if letters > 1 else lambda piece: (piece,) * letters
 
-    def image(subset):
-        mask, found = as_mask(subset), 0
+    def image(mask):
+        found = 0
         # One step per nonzero byte of the mask, lowest first.
         while mask:
             shift = (mask & -mask).bit_length() - 1 & ~7
@@ -663,37 +652,39 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
                 parts[i].update((byte, _part(packed, 8 * i, byte)) for byte in set(stripe).difference(parts[i]))
             kernel = _column_images if lanes < len(batch) else _row_images
             return struct.unpack(f"<{len(batch) * letters}{code}", kernel(stripes, parts, tables, lanes))
-        joined = b"".join(map(int.to_bytes, map(image, batch), repeat(lanes), repeat("little")))
-        return tuple(chain.from_iterable(field.iter_unpack(joined)))
+        found = map(int.to_bytes, map(image, batch), repeat(lanes), repeat("little"))
+        return tuple(map(int.from_bytes, chain.from_iterable(map(cut, found)), repeat("little")))
 
-    subsets = list(field.unpack(_mask(seed).to_bytes(width, "little")))
-    if not rows:
-        known, layer = set(subsets), subsets
-        while layer:
-            found = []
-            for start in range(0, len(layer), size):
-                new = set(images(layer[start:start + size])) - known
-                # Checked before storing, so the partial count is cap, as
-                # when rows are kept.
-                if len(known) + len(new) > cap:
-                    raise CapExceededError(direction, cap, cap)
-                known |= new
-                found += new
-            layer = found
-        return len(known)
-    number = _Numbering(subsets, direction, cap).__getitem__
-    # Numbers stay below the cap.  struct.pack's native "=" layout is the
-    # array's; fromlist on "H" parses each item slowly.
-    cells = array("H" if cap <= 1 << 16 else "I")
+    # The breadth-first worklist; counting appends each batch's new
+    # subsets in set order.
+    subsets = [_mask(seed)]
+    if rows:
+        number = _Numbering(subsets, direction, cap).__getitem__
+        # Numbers stay below the cap.  struct.pack's native "=" layout is
+        # the array's; fromlist on "H" parses each item slowly.
+        cells = array("H" if cap <= 1 << 16 else "I")
+    else:
+        known = set(subsets)
     done = 0
     while done < len(subsets):
         batch = subsets[done:done + size]
         done += len(batch)
-        cells.frombytes(struct.pack(f"={len(batch) * letters}{cells.typecode}", *map(number, images(batch))))
-    masks = tuple(map(as_mask, subsets))
+        found = images(batch)
+        if rows:
+            cells.frombytes(struct.pack(f"={len(found)}{cells.typecode}", *map(number, found)))
+        else:
+            new = set(found) - known
+            # Checked before storing, so the partial count is cap, as
+            # when rows are kept.
+            if len(known) + len(new) > cap:
+                raise CapExceededError(direction, cap, cap)
+            known |= new
+            subsets += new
+    if not rows:
+        return len(subsets)
     against = _mask(mark_against)
-    marked = frozenset(compress(count(), map(against.__and__, masks)))
-    return SubsetAutomaton(nfa, direction, masks, cells, marked)
+    marked = frozenset(compress(count(), map(against.__and__, subsets)))
+    return SubsetAutomaton(nfa, direction, tuple(subsets), cells, marked)
 
 
 def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP, *, _packed=None) -> SubsetAutomaton:

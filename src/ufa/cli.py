@@ -342,11 +342,18 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (_UsageError, ParseError, AmbiguousAutomatonError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        code, line = EXIT_PRECONDITION, f"error: {exc}"
     except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        code, line = EXIT_CAP, f"error: {exc}"
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        # stderr is a closed pipe, maybe stdout's: on os.devnull, neither
+        # stream's final flush can turn the exit code into 120.
+        null = os.open(os.devnull, os.O_WRONLY)
+        for stream in (sys.stdout, sys.stderr):
+            os.dup2(null, stream.fileno())
+    return code
 
 
 if __name__ == "__main__":

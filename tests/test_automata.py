@@ -434,6 +434,52 @@ class TestPairSearchAgainstTheOracle:
                 got = None if link is None else (divmod(link[0], n), link[1])
                 assert got == want
 
+    def test_the_cone_search_gives_the_full_backward_parents(self, monkeypatch):
+        # On the rows path only the witness pair's backward cone is searched
+        # pair by pair.  The cone, oracle-built from the layers of the full
+        # backward search within the forward pairs, is what it visits, and
+        # each of its pairs gets that full search's parent.
+        monkeypatch.setattr(automata, "_PAIR_BITS", PAIR_PATHS["rows"])
+        rng = random.Random(31)
+        pool = [_random_automaton(rng) for _ in range(800)]
+        pool += [_dfa_with_twin(rng) for _ in range(300)]
+        pool += [_planted_twin(rng, rng.randint(100, 200), 2 + i % 2) for i in range(8)]
+        pool += [nfa for n in (8, 9, 16, 17, 64, 65) for nfa in _field_boundary_twins(n)]
+        ambiguous = wide = 0
+        for nfa in pool:
+            n = nfa.state_count
+            tables = automata._tables_of(nfa)
+            _, target, layers = automata._row_witness_pair(nfa, {}, tables)
+            if target is None:
+                continue
+            forward, full = {}, {}
+            list(_pair_search(nfa, forward, _index(nfa, FORWARD), nfa.initial))
+            depth = {}
+            for code in _pair_search(nfa, full, _index(nfa, BACKWARD), nfa.final, forward):
+                depth[code] = 0 if full[code] is None else depth[full[code][0]] + 1
+            rows = reference_rows(nfa, backward=True)
+
+            def steps_to(code, layer):
+                p, q = divmod(code, n)
+                return any(
+                    p2 * n + q2 in layer
+                    for a in nfa.alphabet
+                    for p2 in rows[a].get(p, ())
+                    for q2 in rows[a].get(q, ())
+                )
+
+            cone, layer = {target}, {target}
+            for d in range(depth[target] - 1, -1, -1):
+                layer = {code for code, at in depth.items() if at == d and steps_to(code, layer)}
+                cone |= layer
+                wide += len(layer) >= 2
+            parent = automata._cone_parents(nfa, tables, layers, target)
+            assert set(parent) == cone
+            assert {code: full[code] for code in cone} == parent
+            ambiguous += 1
+        assert ambiguous >= 300
+        assert wide >= 50
+
     def test_dfa_backward_search_stays_on_the_diagonal(self):
         # A DFA reaches only pairs (q, q), so the pruned backward search
         # visits at most n pairs instead of up to n**2.

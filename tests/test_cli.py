@@ -663,3 +663,27 @@ class TestUsage:
             capture_output=True, text=True, env=_child_env(), timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_shared_pipe_closed_early_exits_2(self, tmp_path, unbuffered):
+        # As in `ufa complement w12.nfa 2>&1 | head -n 1`: the write that
+        # finds the pipe closed is an OSError, exit 2, and the error line
+        # and the final flush, bound for the same pipe, must not change
+        # that.  They made it 120 with buffered streams and 1 unbuffered.
+        source = tmp_path / "w12.nfa"
+        source.write_text(serialize_automaton(witness_ufa(12)))
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        # The complement's text is about 750 KB, far more than a pipe holds.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "ufa", "complement", str(source)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        assert child.wait(timeout=120) == EXIT_PRECONDITION
+        assert first == b"n=12 k=133 l=256 chosen=fwd states=133 bound_sq=53248\n"
