@@ -230,7 +230,9 @@ def cmd_verify_tightness(args) -> int:
     all_hold = True
     for n in range(_nonnegative(args.max_n, "--max-n") + 1):
         report = bridge.verify_tightness(n, cap)
-        print(_tightness_line(report))
+        # Flushed line by line, so that a closed stdout fails on the first
+        # line, before any later n can hit the cap.
+        print(_tightness_line(report), flush=True)
         all_hold = all_hold and report.holds
     return EXIT_OK if all_hold else EXIT_VIOLATION
 
@@ -250,7 +252,7 @@ def cmd_verify_graphs(args) -> int:
                 sys.stderr.write(serialize_graph(graph))
                 for problem in problems:
                     print(f"violation: {problem}", file=sys.stderr)
-        print(f"n={n} graphs={count} violations={violations}")
+        print(f"n={n} graphs={count} violations={violations}", flush=True)
         total_violations += violations
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
 
@@ -340,15 +342,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # A closed stdout fails here, as an OSError, whether or not the
+        # stream is buffered, and not in the interpreter's final flush.
+        sys.stdout.flush()
+        return code
     except (_UsageError, ParseError, AmbiguousAutomatonError, OSError) as exc:
         code, line = EXIT_PRECONDITION, f"error: {exc}"
     except CapExceededError as exc:
         code, line = EXIT_CAP, f"error: {exc}"
     try:
         print(line, file=sys.stderr)
+        sys.stdout.flush()
     except OSError:
-        # stderr is a closed pipe, maybe stdout's: on os.devnull, neither
+        # stderr or stdout is a closed pipe: on os.devnull, neither
         # stream's final flush can turn the exit code into 120.
         null = os.open(os.devnull, os.O_WRONLY)
         for stream in (sys.stdout, sys.stderr):

@@ -687,3 +687,39 @@ class TestClosedPipe:
         child.stdout.close()
         assert child.wait(timeout=120) == EXIT_PRECONDITION
         assert first == b"n=12 k=133 l=256 chosen=fwd states=133 bound_sq=53248\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv,shared",
+        [
+            (["verify-graphs", "--max-n", "3"], False),
+            (["verify-tightness", "--max-n", "3"], False),
+            (["witness", "--n", "5"], False),
+            # The cap is hit at n = 8, after the first lines are printed.
+            (["verify-tightness", "--max-n", "12", "--cap", "100"], True),
+        ],
+        ids=["verify-graphs", "verify-tightness", "witness", "verify-tightness-cap-shared"],
+    )
+    def test_a_closed_stdout_exits_2_buffered_or_not(self, argv, shared, unbuffered):
+        # stdout is a pipe whose read end is closed before the run starts,
+        # so its first write fails, however the stream is buffered.  With
+        # buffered streams these ran to the end and exited 120 from the
+        # final flush (3, the cap, when stderr shared the pipe); unbuffered,
+        # they exited 2.
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "ufa", *argv],
+                stdout=write_end, stderr=write_end if shared else subprocess.PIPE,
+                env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_PRECONDITION
+        if not shared:
+            assert done.stderr == b"error: [Errno 32] Broken pipe\n"

@@ -5,7 +5,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from ufa import (
     Graph,
@@ -17,7 +17,7 @@ from ufa import (
     nearest_k,
     verify_product_bound,
 )
-from ufa.graphs import _cliques, _subset_counts
+from ufa.graphs import _cliques, _non_neighbor_masks, _subset_counts
 from helpers import (
     adjacency,
     brute_force_cliques,
@@ -181,6 +181,70 @@ class TestCountCliques:
         assert n > sys.getrecursionlimit()
         assert count_cliques(Graph(n, ())) == n + 1
         assert count_cocliques(complete_graph(n)) == n + 1
+
+
+@st.composite
+def joined_graphs(draw):
+    """A disjoint union of two drawn graphs, plus vertices joined to every
+    other one and vertices joined to none, under a drawn relabeling: the
+    shapes that the counter's reductions and product split take apart
+    (the union is a product for the cocliques)."""
+    left, right = draw(graphs(max_vertices=5)), draw(graphs(max_vertices=5))
+    universal, isolated = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    base = left.vertex_count + right.vertex_count
+    n = base + universal + isolated
+    edges = left.edges() + [(u + left.vertex_count, v + left.vertex_count) for u, v in right.edges()]
+    edges += [(u, w) for w in range(base, base + universal) for u in range(w)]
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+# The one seeded case below whose count is over 10**6, too many to list.
+_OVER_A_MILLION = {(30, 0.9, "cliques")}
+
+
+class TestBranchingCounter:
+    """_count_cliques counts by branch and reduce; the oracles count one
+    clique at a time."""
+
+    @given(joined_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_unions_with_universal_and_isolated_vertices_match_brute_force(self, g):
+        assert count_cliques(g) == len(brute_force_cliques(g))
+        assert count_cocliques(g) == len(brute_force_cliques(complement_graph(g)))
+
+    @pytest.mark.parametrize("n", range(15, 31))
+    def test_seeded_random_graphs_match_the_clique_listing(self, n):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            g = random_graph(random.Random(f"{n}:{p}"), n, p)
+            non = tuple(_non_neighbor_masks(dict(enumerate(g._adj_masks))).values())
+            for kind, count, masks in (
+                ("cliques", count_cliques(g), g._adj_masks),
+                ("cocliques", count_cocliques(g), non),
+            ):
+                assert (count > 10**6) == ((n, p, kind) in _OVER_A_MILLION), (n, p, kind)
+                if count <= 10**6:
+                    assert count == len(_cliques(masks)), (n, p, kind)
+
+    @pytest.mark.parametrize("n,p", [(45, 0.5), (45, 0.6), (40, 0.7), (45, 0.3)])
+    def test_networkx_agrees(self, n, p):
+        nx = pytest.importorskip("networkx")
+        g = random_graph(random.Random(f"nx:{n}:{p}"), n, p)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        # networkx lists the nonempty cliques only.
+        assert count_cliques(g) == sum(1 for _ in nx.enumerate_all_cliques(h)) + 1
+        assert count_cocliques(g) == sum(1 for _ in nx.enumerate_all_cliques(nx.complement(h))) + 1
+
+    def test_a_star_past_the_recursion_limit(self):
+        leaves = 1100
+        assert leaves > sys.getrecursionlimit()
+        star = Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+        # The empty clique, 1101 singletons and 1100 edges; the cocliques
+        # are the subsets of the leaves and the center alone.
+        assert count_cliques(star) == 2202
+        assert count_cocliques(star) == 2**leaves + 1
 
 
 class TestEnumerateCliques:
