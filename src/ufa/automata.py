@@ -20,9 +20,11 @@ split into one flat tuple of per-letter int fields (by ``struct`` when
 narrow), which one set difference counts or one lookup pass numbers.
 
 is_unambiguous works on pairs of states.  Small inputs keep them as packed
-rows (bit q of row p for the pair (p, q)), stop at the witness pair and
-search pair by pair only its backward cone; larger ones search pairs one
-by one, backward only over the pairs the forward search reached.
+rows (bit q of row p for the pair (p, q)): each forward candidate is probed
+forward until it meets a pair of final states or closes, which marks all
+it saw dead, and only the witness's backward cone is searched pair by
+pair.  Larger ones search pairs one by one, backward only over the pairs
+the forward search reached.
 
 complement_construction counts both sides without rows, then builds only
 the chosen one, capped at its counted size, with its transition table:
@@ -211,45 +213,63 @@ def count_accepting_runs(nfa: Nfa, word) -> int:
     return sum(c for q, c in counts.items() if q in nfa.final)
 
 
-def _pair_search(nfa: Nfa, parent: dict, index: dict, seeds, allowed=None):
+def _pair_search(nfa: Nfa, parent: dict, index: dict, seeds, allowed=None, live=None):
     """Breadth-first search over pairs of states stepped in lockstep along
     ``index``, an _index table, from the pairs of ``seeds`` (the initial
     states forward, the final ones backward), generating the pairs in
-    discovery order.
+    discovery order, each as it is discovered.
 
     A pair (p, q) is coded as the int ``p * n + q``.  When ``allowed`` is
     given, only pairs in it are visited and the seed pairs are read off
     it, sorted, which is the nested loop's order.  The empty dict
     ``parent`` gets ``code -> (parent code, symbol)`` (seeds map to None)
-    as the search goes, which stops where its caller does.
-    Deterministic: seeds, alphabet and successor tuples are all ordered.
+    as the search goes, which stops where its caller does.  With ``live``,
+    rows by state (bit q of live[p] for the pair (p, q)) that the caller
+    clears as it finds pairs dead, only live pairs are discovered; one
+    dead when the search resumes after it leaves ``parent`` and the queue,
+    and one that dies while queued is not expanded.  Seeds are enumerated,
+    never stored ahead.  Deterministic: seeds, alphabet and successor
+    tuples are all ordered.
     """
     n = nfa.state_count
     columns = list(index.items())
     if allowed is None:
         ordered = sorted(seeds)
-        codes = (p * n + q for p in ordered for q in ordered)
+        mask = _mask(ordered)
+        codes = (p * n + q for p in ordered for q in _bits(mask if live is None else mask & live[p]))
     else:
         codes = sorted(code for code in allowed if code // n in seeds and code % n in seeds)
-    parent.update(dict.fromkeys(codes))
     # Iterating a list visits what is appended during the loop, which makes
     # the discovery order the breadth-first queue.
-    order = list(parent)
-    for code in order:
-        yield code
-        p, q = divmod(code, n)
-        for a, rows in columns:
-            targets = rows.get(q)
-            if not targets:
+    order = []
+
+    def discoveries():
+        yield from zip(codes, repeat(None))
+        for code in order:
+            p, q = divmod(code, n)
+            if live is not None and not live[p] >> q & 1:
                 continue
-            link = (code, a)
-            for p2 in rows.get(p, ()):
-                base = p2 * n
-                for q2 in targets:
-                    child = base + q2
-                    if child not in parent and (allowed is None or child in allowed):
-                        parent[child] = link
-                        order.append(child)
+            for a, rows in columns:
+                targets = rows.get(q)
+                if not targets:
+                    continue
+                link = (code, a)
+                for p2 in rows.get(p, ()):
+                    base = p2 * n
+                    for q2 in targets:
+                        child = base + q2
+                        if child not in parent and (allowed is None or child in allowed) and (
+                            live is None or live[p2] >> q2 & 1
+                        ):
+                            yield child, link
+
+    for code, link in discoveries():
+        parent[code] = link
+        yield code
+        if live is None or live[code // n] >> code % n & 1:
+            order.append(code)
+        else:
+            del parent[code]
 
 
 def _trace_word(parent, code, reverse: bool) -> Word:
@@ -264,64 +284,47 @@ def _trace_word(parent, code, reverse: bool) -> Word:
 
 
 # Pairs are packed rows while n * n * (|alphabet| + 1) is at most this many
-# bits: rows cost time and memory quadratic in n whatever the input holds,
-# and above it the per-pair search is several times faster on DFAs.
+# bits: the live rows alone take n * n bits whatever the input holds.
+# Above it pairs are searched one by one, in full (DFAs never get here:
+# is_unambiguous answers them first).
 _PAIR_BITS = 1 << 24
 
 
 def _pair_kernel(index: dict, packed: dict, n: int):
-    """(rows, moves, full) for pair rows (bit q of row p for the pair
-    (p, q)) stepped along ``index`` and ``packed``, an _index table and
-    its _pack rows.  Indexed by state: rows[q] is packed[q] (0 without
+    """(rows, moves, fields, full) for pair rows (bit q of row p for the
+    pair (p, q)) stepped along ``index`` and ``packed``, an _index table
+    and its _pack rows.  Indexed by state: rows[q] is packed[q] (0 without
     transitions), letter j in the field from bit j * f, f = 8 *
-    _byte_width(n), and moves[p] is p's (j * f, targets) in letter order.
-    Row p's bits q step on letter j to the bits of ``image >> j * f &
-    full``, image the OR of their rows[q]."""
-    bits = 8 * _byte_width(n)
+    _byte_width(n), moves[p] is p's (j * f, targets) in letter order and
+    fields[p] has the bits of those letters' fields.  Row p's bits q step
+    on letter j to the bits of ``image >> j * f & full``, image the OR of
+    their rows[q]; none do when ``image & fields[p]`` is 0."""
+    width = _byte_width(n)
     rows = [packed.get(q, 0) for q in range(n)]
     moves = [[] for _ in range(n)]
-    for shift, column in zip(count(0, bits), index.values()):
+    for shift, column in zip(count(0, 8 * width), index.values()):
         for p, targets in column.items():
             moves[p].append((shift, targets))
-    return rows, moves, (1 << bits) - 1
+
+    @cache
+    def fields(shifts):
+        ones = bytearray(len(index) * width)
+        for shift in shifts:
+            ones[shift >> 3:(shift >> 3) + width] = b"\xff" * width
+        return int.from_bytes(ones, "little")
+
+    # One per set of letters: a DFA's states share a few.
+    return rows, moves, [fields(tuple(shift for shift, _ in row)) for row in moves], (1 << 8 * width) - 1
 
 
-def _reachable(kernel, seeds: dict) -> dict:
-    """The nonzero rows, by state, of the pairs reachable from the rows
-    ``seeds`` along ``kernel`` (see _pair_kernel); a row waits in the
-    worklist with all the bits it gained, stepped once for them."""
-    rows, moves, full = kernel
-    seen = [seeds.get(p, 0) for p in range(len(rows))]
-    pending = seen.copy()
-    # Iterating a list visits what is appended during the loop.
-    order = list(seeds)
-    for p in order:
-        mask = pending[p]
-        pending[p] = image = 0
-        while mask:
-            low = mask & -mask
-            image |= rows[low.bit_length() - 1]
-            mask ^= low
-        for shift, targets in moves[p]:
-            found = image >> shift & full
-            if found:
-                for p2 in targets:
-                    old = seen[p2]
-                    new = found & ~old
-                    if new:
-                        seen[p2] = old | new
-                        if not pending[p2]:
-                            order.append(p2)
-                        pending[p2] |= new
-    return {p: row for p, row in enumerate(seen) if row}
-
-
-def _pair_layers(kernel, seeds: dict, within: dict):
-    """Generate, seeds first, the breadth-first layers of the pairs of
-    ``within`` reachable from ``seeds`` along ``kernel``, all as rows."""
-    rows, moves, full = kernel
-    # unseen[p]: the bits of within[p] in no layer yet.
-    unseen = [within.get(p, 0) & ~seeds.get(p, 0) for p in range(len(rows))]
+def _pair_layers(kernel, seeds: dict, within: list, left: dict):
+    """Generate, seeds first, the breadth-first layers of the pairs
+    reachable from the rows ``seeds`` along ``kernel`` through pairs of
+    ``within`` (rows by state), all as rows.  The empty dict ``left`` gets,
+    for each state a layer holds, the bits of its within row in no layer
+    yet.  The cost follows the layers."""
+    rows, moves, fields, full = kernel
+    left.update((p, within[p] & ~row) for p, row in seeds.items())
     layer = seeds
     while layer:
         yield layer
@@ -332,6 +335,8 @@ def _pair_layers(kernel, seeds: dict, within: dict):
                 low = mask & -mask
                 image |= rows[low.bit_length() - 1]
                 mask ^= low
+            if not image & fields[p]:
+                continue
             for shift, targets in moves[p]:
                 found = image >> shift & full
                 if found:
@@ -339,16 +344,18 @@ def _pair_layers(kernel, seeds: dict, within: dict):
                         reached[p2] = reached.get(p2, 0) | found
         layer = {}
         for p, mask in reached.items():
-            new = mask & unseen[p]
+            unseen = left.get(p, within[p])
+            new = mask & unseen
             if new:
                 layer[p] = new
-                unseen[p] ^= new
+                left[p] = unseen ^ new
 
 
 def _cone_parents(nfa: Nfa, tables, layers: list, target: int) -> dict:
     """The backward pair search's parent links from ``target`` to a seed,
     read off ``tables`` (see _tables_of); ``layers`` are that search's
-    layers within the forward-reachable pairs.
+    layers up to the target's, or a restriction of them to pairs that
+    keeps every shortest path from the target (see _unambiguity).
 
     With d the target's layer, C_d = {target} and C_(j-1) holds the pairs
     of layer j - 1 that a pair of C_j steps to along the forward _index:
@@ -375,36 +382,35 @@ def _cone_parents(nfa: Nfa, tables, layers: list, target: int) -> dict:
     return parent
 
 
-def _row_witness_pair(nfa: Nfa, fwd_parent: dict, tables):
-    """(forward-reachable rows R, witness pair code or None, backward
-    layers computed) on packed rows of ``tables`` (see _tables_of).  When
-    a layer within R first holds a pair of distinct states, the forward
-    search (filling ``fwd_parent``) runs to its first such pair X; the
-    layers stop once X shows up, else the search goes on to the first one
-    in any layer.  A yes answer runs no per-pair search."""
+def _witness_pair(nfa: Nfa, fwd_parent: dict, tables, forward):
+    """(witness pair code or None, its backward layers, live rows) on
+    ``tables`` (see _tables_of) and ``forward``, their forward _pair_kernel.
+
+    Each pair of distinct states that the forward search (filling
+    ``fwd_parent``) discovers live starts a probe: breadth-first layers
+    forward from it through live pairs.  A probe that closes without a
+    pair of final states clears all it saw from the live rows, so each
+    pair is seen by at most one such probe.  The first probe to meet a
+    final pair, at layer d, gives the witness pair X; the backward
+    layers, from the final pairs, run within that probe as far as d.
+    """
     n = nfa.state_count
-    seeds = dict.fromkeys(nfa.initial, _mask(nfa.initial))
-    reach = _reachable(_pair_kernel(tables(FORWARD), tables(FORWARD, True), n), seeds)
-    layers = []
-    if not any(row & ~(1 << p) for p, row in reach.items()):
-        return reach, None, layers
     final = _mask(nfa.final)
-    seeds = {p: reach[p] & final for p in nfa.final if reach.get(p, 0) & final}
-    search = None
-    for layer in _pair_layers(_pair_kernel(tables(BACKWARD), tables(BACKWARD, True), n), seeds, reach):
-        layers.append(layer)
-        if search is None and any(row & ~(1 << p) for p, row in layer.items()):
-            search = _pair_search(nfa, fwd_parent, tables(FORWARD), nfa.initial)
-            first = next(code for code in search if code // n != code % n)
-        if search is not None and layer.get(first // n, 0) >> first % n & 1:
-            return reach, first, layers
-    if search is None:
-        return reach, None, layers
-    goal = {}
-    for layer in layers:
-        for p, row in layer.items():
-            goal[p] = goal.get(p, 0) | row & ~(1 << p)
-    return reach, next(code for code in search if goal.get(code // n, 0) >> code % n & 1), layers
+    live = [(1 << n) - 1] * n
+    for code in _pair_search(nfa, fwd_parent, tables(FORWARD), nfa.initial, live=live):
+        p, q = divmod(code, n)
+        if p == q or not live[p] >> q & 1:
+            continue
+        left = {}
+        for depth, layer in enumerate(_pair_layers(forward, {p: 1 << q}, live, left)):
+            if any(final >> s & 1 and row & final for s, row in layer.items()):
+                within = [live[s] ^ left.get(s, live[s]) for s in range(n)]
+                seeds = {s: within[s] & final for s in nfa.final if within[s] & final}
+                backward = _pair_kernel(tables(BACKWARD), tables(BACKWARD, True), n)
+                return code, list(islice(_pair_layers(backward, seeds, within, {}), depth + 1)), live
+        for s, unseen in left.items():
+            live[s] = unseen
+    return None, [], live
 
 
 def _unambiguity(nfa: Nfa, tables=None):
@@ -412,14 +418,18 @@ def _unambiguity(nfa: Nfa, tables=None):
     (produced lazily), and a witness word, or None when no word has two
     accepting runs, read off ``tables`` (see _tables_of) or its own.
 
-    The witness pair is the first pair of distinct states in forward
-    discovery order that the backward search reaches.  That search visits
-    only forward-reachable pairs, which cannot change the witness: a pair
-    Y discovers X only when X steps to Y, and then Y is forward-reachable
-    if X is, so the kept pairs keep their order, parents and layers.  Up
-    to _PAIR_BITS the pairs are packed rows (_row_witness_pair) and the
-    backward per-pair search runs on the witness's cone (_cone_parents);
-    above it both per-pair searches run in full.
+    The witness pair X is the first pair of distinct states in forward
+    discovery order from which a common word leads to a pair of final
+    states.  Up to _PAIR_BITS the pairs are packed rows and each candidate
+    is probed (_witness_pair).  A pair that steps to one leading to a
+    final pair leads to one too, so pruning dead pairs keeps the order and
+    parents of those that do, X's among them.  X's backward per-pair
+    search runs on its cone (_cone_parents), from layers within X's probe:
+    a shortest path from the cone to a final pair stays within X's
+    distance d.  A yes answer costs one pass over the forward pairs.
+    Above _PAIR_BITS both per-pair searches run in full, the backward one
+    only over the forward pairs, which keeps their order, parents and
+    layers: a pair Y discovers X only when X steps to Y.
     """
     n = nfa.state_count
     tables = tables or _tables_of(nfa)
@@ -431,9 +441,17 @@ def _unambiguity(nfa: Nfa, tables=None):
         pairs = (divmod(code, n) for code in fwd_order)
         target = next((code for code in fwd_order if code in bwd_parent and code // n != code % n), None)
     else:
-        reach, target, layers = _row_witness_pair(nfa, fwd_parent, tables)
-        pairs = ((p, q) for p, row in reach.items() for q in _bits(row))
-        if target is not None:
+        forward = _pair_kernel(tables(FORWARD), tables(FORWARD, True), n)
+        target, layers, live = _witness_pair(nfa, fwd_parent, tables, forward)
+        full = (1 << n) - 1
+        if target is None:
+            # Each forward pair is dead, seen by a probe that closed, or a
+            # pair (q, q) that the search kept live: no second pass.
+            dead = ((p, q) for p, row in enumerate(live) for q in _bits(full ^ row))
+            pairs = chain(dead, (divmod(code, n) for code in fwd_parent if live[code // n] >> code % n & 1))
+        else:
+            closure = _pair_layers(forward, dict.fromkeys(nfa.initial, _mask(nfa.initial)), [full] * n, {})
+            pairs = ((p, q) for layer in closure for p, row in layer.items() for q in _bits(row))
             bwd_parent = _cone_parents(nfa, tables, layers, target)
     if target is None:
         return pairs, None
@@ -445,12 +463,14 @@ def is_unambiguous(nfa: Nfa, *, _tables=None):
 
     Ambiguity holds iff some pair of distinct states is both reachable from
     the initial states and co-reachable to the final states along common
-    words (Weber & Seidl, TCS 1991); both sides are searched over state
-    pairs, so no words are enumerated (see _unambiguity).  Returns (True,
-    None) or (False, witness) where the witness word has at least two
-    accepting runs.  An input with at most one initial state and at most
-    one successor per (state, letter) has at most one run per word, and
-    one set of its (source, letter) pairs answers it yes with no index.
+    words (Weber & Seidl, TCS 1991).  Both are searched over state pairs,
+    so no words are enumerated: each forward candidate is probed forward,
+    and the search stops at the first one that meets a pair of final
+    states (see _unambiguity).  Returns (True, None) or (False, witness)
+    where the witness word has at least two accepting runs.  An input with
+    at most one initial state and at most one successor per (state,
+    letter) has at most one run per word, and one set of its (source,
+    letter) pairs answers it yes with no index.
     """
     if len(nfa.initial) <= 1 and len({t[:2] for t in nfa.transitions}) == len(nfa.transitions):
         return True, None

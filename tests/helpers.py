@@ -147,6 +147,26 @@ def brute_force_cliques(g: Graph) -> list:
     return cliques
 
 
+def count_clique_tree(adj_masks, ceiling: int) -> int:
+    """The number of cliques (the empty one included) of the graph with
+    neighbor masks ``adj_masks``, counted one at a time, or ``ceiling + 1``
+    once there are more.
+
+    Each clique is one node of a tree rooted at the empty clique: a node
+    with candidate mask c has one child per vertex v of c, whose
+    candidates are the neighbors of v in c above v.  Only candidate masks
+    wait on the stack, so no member tuples are built."""
+    counted, stack = 0, [(1 << len(adj_masks)) - 1]
+    while stack and counted <= ceiling:
+        candidates = stack.pop()
+        counted += 1
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            stack.append(candidates & adj_masks[low.bit_length() - 1])
+    return counted
+
+
 def is_clique(g: Graph, vertices) -> bool:
     """Whether every two distinct members are adjacent, checked pair by pair."""
     neighbors = adjacency(g)

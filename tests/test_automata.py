@@ -288,6 +288,77 @@ def _field_boundary_twins(n: int):
     return forward, backward
 
 
+def _probe(nfa: Nfa, fwd_parent: dict, tables=None):
+    """automata._witness_pair on ``nfa``, with its tables and kernel."""
+    tables = tables or automata._tables_of(nfa)
+    kernel = automata._pair_kernel(tables(FORWARD), tables(FORWARD, True), nfa.state_count)
+    return automata._witness_pair(nfa, fwd_parent, tables, kernel)
+
+
+def _with_dead_sink(rng, nfa: Nfa) -> Nfa:
+    """``nfa`` plus a dead sink: a new state, not final and with no moves,
+    and one move into it on a random letter from a random state."""
+    n = nfa.state_count
+    move = (rng.randrange(n), rng.choice(nfa.alphabet), n)
+    return Nfa(n + 1, nfa.alphabet, nfa.transitions | {move}, nfa.initial, nfa.final)
+
+
+def _mirror(nfa: Nfa) -> Nfa:
+    """``nfa`` read backward: moves reversed, initial and final swapped."""
+    return Nfa(nfa.state_count, nfa.alphabet, {(d, a, s) for s, a, d in nfa.transitions}, nfa.final, nfa.initial)
+
+
+def _probe_families(rng):
+    """Random DFAs with a dead sink and co-deterministic automata (mirror
+    images of DFAs), each also with a planted twin, 2-30 states: inputs
+    whose probes mostly close."""
+    pool = []
+    for _ in range(150):
+        n, letters = rng.randint(2, 30), rng.randint(1, 3)
+        targets, start, final = _random_dfa(rng, n, letters)
+        alphabet = tuple("abc"[:letters])
+        dfa = Nfa(n, alphabet, {(q, a, targets[q][j]) for q in range(n) for j, a in enumerate(alphabet)}, {start}, final)
+        twin = _dfa_with_twin(rng)
+        pool += [_with_dead_sink(rng, dfa), _with_dead_sink(rng, twin), _mirror(dfa), _mirror(twin)]
+    return pool
+
+
+def _assert_oracle_layers(nfa: Nfa, target: int, layers: list) -> int:
+    """Check _witness_pair's backward ``layers`` for the witness pair X
+    (code ``target``) against the oracle's breadth-first layers within the
+    forward-reachable pairs, and return how many pairs they hold.
+
+    With d X's oracle layer and dist(Y) a pair Y's distance from X, the
+    layers run to layer d, which holds X.  A pair Y with dist(Y) +
+    layer(Y) <= d has all its shortest paths to a final pair within X's
+    distance d, so it is in its oracle layer; every other pair is
+    reachable, within distance d of X, and in no earlier layer than the
+    oracle's."""
+    reach = set(reference_reachable_state_pairs(nfa))
+
+    def distances(start, rows):
+        """Breadth-first distance from ``start`` of each pair of reach."""
+        found, layer, j = {}, set(start) & reach, 0
+        while layer:
+            found.update(dict.fromkeys(layer, j))
+            steps = {(p2, q2) for p, q in layer for a in nfa.alphabet for p2 in rows[a].get(p, ()) for q2 in rows[a].get(q, ())}
+            layer, j = (steps & reach) - found.keys(), j + 1
+        return found
+
+    x = divmod(target, nfa.state_count)
+    depth = distances(seed_pairs(nfa.final), reference_rows(nfa, backward=True))
+    dist = distances([x], reference_rows(nfa, backward=False))
+    d = depth[x]
+    got = {(p, q): j for j, layer in enumerate(layers) for p, row in layer.items() for q in automata._bits(row)}
+    assert len(layers) == d + 1 and got[x] == d
+    for pair, j in got.items():
+        assert pair in reach and dist[pair] <= d and depth[pair] <= j, pair
+    for pair, at in depth.items():
+        if dist.get(pair, d + 1) + at <= d:
+            assert got.get(pair) == at, pair
+    return len(got)
+
+
 class TestPairSearchAgainstTheOracle:
     """Both paths of the pair test, packed rows and the coded, pruned
     per-pair search, give the verdicts, witnesses and reachable pairs of
@@ -345,17 +416,22 @@ class TestPairSearchAgainstTheOracle:
         checked = 0
         for _ in range(400):
             nfa = rng.choice((_random_automaton, _dfa_with_twin))(rng)
-            reach, _, layers = automata._row_witness_pair(nfa, {}, automata._tables_of(nfa))
+            target, layers, _ = _probe(nfa, {})
+            reach = set(reference_reachable_state_pairs(nfa))
             for layer in layers:
                 for p, row in layer.items():
-                    assert row & ~reach.get(p, 0) == 0
+                    assert {(p, q) for q in automata._bits(row)} <= reach
                     checked += 1
+            if target is not None:
+                checked += _assert_oracle_layers(nfa, target, layers)
         assert checked >= 100
 
     def test_the_size_rule_picks_the_path(self, monkeypatch):
         # At n * n * (|alphabet| + 1) bits the pairs are packed rows, one bit
         # fewer and they are searched one by one.  Both inputs are answered
-        # yes, so the rows path starts no per-pair search.
+        # yes, so on the rows path every pair of distinct states is probed
+        # dead and the per-pair search expands only pairs (q, q): it keeps
+        # no other parent.
         rng = random.Random(150)
         n = 150
         targets, start, final = _random_dfa(rng, n, 2)
@@ -364,13 +440,24 @@ class TestPairSearchAgainstTheOracle:
             size = nfa.state_count ** 2 * (len(nfa.alphabet) + 1)
             for bits, per_pair in ((size, False), (size - 1, True)):
                 monkeypatch.setattr(automata, "_PAIR_BITS", bits)
-                calls = []
-                for name in ("_row_witness_pair", "_pair_search"):
-                    monkeypatch.setattr(automata, name, _recording(calls, name, getattr(automata, name)))
+                calls, parents = [], []
+                search = automata._pair_search
+
+                def spy(nfa, parent, *args, **kwargs):
+                    calls.append("_pair_search")
+                    parents.append(parent)
+                    return search(nfa, parent, *args, **kwargs)
+
+                monkeypatch.setattr(automata, "_pair_search", spy)
+                monkeypatch.setattr(automata, "_witness_pair", _recording(calls, "_witness_pair", automata._witness_pair))
                 # _unambiguity itself: is_unambiguous answers the DFA before
                 # either path runs.
                 assert _unambiguity(nfa)[1] is None
-                assert calls == (["_pair_search"] * 2 if per_pair else ["_row_witness_pair"])
+                if per_pair:
+                    assert calls == ["_pair_search"] * 2
+                else:
+                    assert calls == ["_witness_pair", "_pair_search"]
+                    assert parents[0] and all(code % (nfa.state_count + 1) == 0 for code in parents[0])
                 monkeypatch.undo()
 
     @pytest.mark.parametrize("n", [8, 9, 16, 17, 64, 65, 72])
@@ -386,22 +473,43 @@ class TestPairSearchAgainstTheOracle:
                 assert is_unambiguous(nfa) == expected, path
                 assert sorted(_unambiguity(nfa)[0]) == reachable, path
             # The backward layers are the oracle's breadth-first layers
-            # within the reachable pairs, as far as they go.
-            _, _, layers = automata._row_witness_pair(nfa, {}, automata._tables_of(nfa))
-            rows = reference_rows(nfa, backward=True)
-            within = set(reachable)
-            layer = set(seed_pairs(nfa.final)) & within
-            seen = set(layer)
-            for got in layers:
-                assert {(p, q) for p, row in got.items() for q in automata._bits(row)} == layer
-                layer = {
-                    (p2, q2)
-                    for p, q in layer
-                    for a in nfa.alphabet
-                    for p2 in rows[a].get(p, ())
-                    for q2 in rows[a].get(q, ())
-                } & (within - seen)
-                seen |= layer
+            # within the reachable pairs on the pairs they share with it.
+            target, layers, _ = _probe(nfa, {})
+            _assert_oracle_layers(nfa, target, layers)
+
+    def test_dead_sinks_and_co_deterministic_automata(self, monkeypatch):
+        pool = _probe_families(random.Random(808))
+        for path, bits in PAIR_PATHS.items():
+            monkeypatch.setattr(automata, "_PAIR_BITS", bits)
+            ambiguous = 0
+            for nfa in pool:
+                expected = reference_is_unambiguous(nfa)
+                assert is_unambiguous(nfa) == expected, path
+                ambiguous += not expected[0]
+            assert 80 <= ambiguous <= 300, path
+
+    def test_dead_pairs_are_not_co_reachable(self):
+        # A probe marks dead only what it saw and closed on, so no dead
+        # pair reaches a final pair; the forward parents it leaves on
+        # pairs that do are the oracle's.
+        pool = self._instances() + _probe_families(random.Random(909))
+        dead_total = ambiguous = 0
+        for nfa in pool:
+            n = nfa.state_count
+            fwd_parent = {}
+            target, _, live = _probe(nfa, fwd_parent)
+            _, co_reachable = reference_pair_search(seed_pairs(nfa.final), nfa.alphabet, reference_rows(nfa, True))
+            _, oracle_parent = reference_pair_search(seed_pairs(nfa.initial), nfa.alphabet, reference_rows(nfa, False))
+            dead = {(p, q) for p in range(n) for q in range(n) if not live[p] >> q & 1}
+            assert not dead & co_reachable.keys()
+            for code, link in fwd_parent.items():
+                pair = divmod(code, n)
+                if pair in co_reachable:
+                    assert (None if link is None else (divmod(link[0], n), link[1])) == oracle_parent[pair]
+            dead_total += len(dead)
+            ambiguous += target is not None
+        assert dead_total >= 10_000
+        assert ambiguous >= 500
 
     def test_planted_twins_are_found(self):
         rng = random.Random(5)
@@ -449,7 +557,7 @@ class TestPairSearchAgainstTheOracle:
         for nfa in pool:
             n = nfa.state_count
             tables = automata._tables_of(nfa)
-            _, target, layers = automata._row_witness_pair(nfa, {}, tables)
+            target, layers, _ = _probe(nfa, {}, tables)
             if target is None:
                 continue
             forward, full = {}, {}
