@@ -29,13 +29,15 @@ the forward search reached.
 complement_construction counts both sides without rows, then builds only
 the chosen one, capped at its counted size, with its transition table:
 one flat array, 2 bytes a cell up to 2**16 states; measure_constructions
-only counts.  A counted side still
-discovers every subset, so its size and its cap outcome are those of the
-full construction.  complement_ufa turns the chosen side into an Nfa
-without re-validating its triples; the ``complement`` and
-``determinize`` commands instead write the construction with
-formats.write_subset_automaton, straight from its cells in time linear
-in their number.
+only counts.  A count stops before its worklist ends only when each
+letter's moves all lead to one set T, as in bridge.graph_to_ufa's
+automata: its images are then the empty set and T, and once all of them
+are known no later image is new.  So a counted side's size and its cap
+outcome are those of the full construction.  complement_ufa turns the
+chosen side into an Nfa without re-validating its triples; the
+``complement`` and ``determinize`` commands instead write the
+construction with formats.write_subset_automaton, straight from its
+cells in time linear in their number.
 """
 
 import struct
@@ -607,9 +609,23 @@ class _Numbering(dict):
         return number
 
 
-def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = True):
+def _two_images(index: dict):
+    """The images the letters of ``index`` (an _index table) can give a
+    subset, as masks, when the moves of each letter all lead to one set T:
+    then its images are 0 and T.  Else None."""
+    images = set()
+    for column in index.values():
+        targets = set(column.values())
+        if len(targets) > 1:
+            return None
+        images |= {0, *map(_mask, targets)}
+    return images
+
+
+def _determinize(nfa: Nfa, direction: str, cap: int, tables=None, rows: bool = True):
     """The subset construction in ``direction``, as a SubsetAutomaton, on
-    ``packed``, the _pack rows of its _index, else on rows of its own.
+    ``tables``, the pair of its _index and the _pack rows of that (a build
+    reads only the rows), else on a pair of its own.
 
     One breadth-first worklist of int masks is taken in batches, whose
     images are computed together, row-major in one flat tuple of int
@@ -622,12 +638,21 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
     at most 2**16, else ``array("I")``.  Without, a batch's new subsets,
     one set difference from the known ones, join the worklist in set
     order; the return value is their number, with no table or ``marked``.
+    A count stops early when each letter's moves all lead to one set T
+    (they start at one state, or end at one): its images can only be the
+    empty set and T, and once all of these are known no image is new.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     seed, mark_against = (nfa.initial, nfa.final) if direction == FORWARD else (nfa.final, nfa.initial)
+    index, packed = tables or (_index(nfa, direction), None)
     if packed is None:
-        packed = _pack(_index(nfa, direction), nfa.state_count)
+        packed = _pack(index, nfa.state_count)
+    # The images a count can find and has not yet: it stops when none are
+    # left.  None when rows are kept or a letter has more than two.  Only
+    # this reads the index, which is not kept through the worklist.
+    unknown = None if rows else _two_images(index)
+    index = None
     width = _byte_width(nfa.state_count)
     # packed[q] holds q's one-letter image under alphabet[j] in bytes
     # [j * width, (j + 1) * width); n * |alphabet| * width bytes in all.
@@ -639,7 +664,7 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
     # column i by byte when narrow, else one by 256 * i + byte.
     parts = [{0: 0} for _ in range((nfa.state_count + 7) // 8 or 1)] if narrow else {}
     # _column_images's, made on its first call.
-    tables = []
+    lane_tables = []
     if narrow:
         code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
     else:
@@ -669,9 +694,11 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
             joined = struct.pack(f"<{len(batch)}{code}", *batch)
             stripes = [joined[i::width] for i in range(len(parts))]
             for i, stripe in enumerate(stripes):
-                parts[i].update((byte, _part(packed, 8 * i, byte)) for byte in set(stripe).difference(parts[i]))
+                # A memo of all 256 bytes needs no fill.
+                if len(parts[i]) < 256:
+                    parts[i].update((byte, _part(packed, 8 * i, byte)) for byte in set(stripe).difference(parts[i]))
             kernel = _column_images if lanes < len(batch) else _row_images
-            return struct.unpack(f"<{len(batch) * letters}{code}", kernel(stripes, parts, tables, lanes))
+            return struct.unpack(f"<{len(batch) * letters}{code}", kernel(stripes, parts, lane_tables, lanes))
         found = map(int.to_bytes, map(image, batch), repeat(lanes), repeat("little"))
         return tuple(map(int.from_bytes, chain.from_iterable(map(cut, found)), repeat("little")))
 
@@ -685,8 +712,10 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
         cells = array("H" if cap <= 1 << 16 else "I")
     else:
         known = set(subsets)
+        if unknown:
+            unknown -= known
     done = 0
-    while done < len(subsets):
+    while done < len(subsets) and unknown != set():
         batch = subsets[done:done + size]
         done += len(batch)
         found = images(batch)
@@ -700,6 +729,8 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
                 raise CapExceededError(direction, cap, cap)
             known |= new
             subsets += new
+            if unknown:
+                unknown -= new
     if not rows:
         return len(subsets)
     against = _mask(mark_against)
@@ -707,23 +738,24 @@ def _determinize(nfa: Nfa, direction: str, cap: int, packed=None, rows: bool = T
     return SubsetAutomaton(nfa, direction, tuple(subsets), cells, marked)
 
 
-def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP, *, _packed=None) -> SubsetAutomaton:
+def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP, *, _tables=None) -> SubsetAutomaton:
     """Subset construction from the initial set.
 
     Discovers exactly the subsets reachable by one-letter images, breadth
     first, seed first.  Raises CapExceededError once more than ``cap``
-    subsets would be recorded.  ``_packed``: complement_construction's.
+    subsets would be recorded.  ``_tables``: complement_construction's
+    (see _determinize).
     """
-    return _determinize(nfa, FORWARD, cap, _packed)
+    return _determinize(nfa, FORWARD, cap, _tables)
 
 
-def backward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP, *, _packed=None) -> SubsetAutomaton:
+def backward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP, *, _tables=None) -> SubsetAutomaton:
     """Subset construction from the final set along reversed transitions.
 
     Mirror image of forward_determinize; the resulting automaton is
     backward-deterministic and hence unambiguous.
     """
-    return _determinize(nfa, BACKWARD, cap, _packed)
+    return _determinize(nfa, BACKWARD, cap, _tables)
 
 
 @dataclass(frozen=True)
@@ -810,7 +842,7 @@ def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
     sizes = []
     for direction in (FORWARD, BACKWARD):
         try:
-            sizes.append(_determinize(nfa, direction, cap, tables(direction, True), rows=False))
+            sizes.append(_determinize(nfa, direction, cap, (tables(direction), tables(direction, True)), rows=False))
         except CapExceededError:
             sizes.append(None)
     if sizes == [None, None]:
@@ -819,7 +851,7 @@ def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
     construct = forward_determinize if report.chosen == FORWARD else backward_determinize
     # Only the chosen side's rows are kept through the build.
     packed, tables = tables(report.chosen, True), None
-    return construct(nfa, report.result_states, _packed=packed), report
+    return construct(nfa, report.result_states, _tables=(None, packed)), report
 
 
 def complement_ufa(nfa: Nfa, cap: int = DEFAULT_CAP):

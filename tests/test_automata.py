@@ -26,7 +26,7 @@ from ufa import (
 )
 from ufa import automata
 from ufa.automata import _index, _pair_search, _unambiguity
-from ufa.bridge import witness_ufa
+from ufa.bridge import _witness_sizes, graph_to_ufa, witness_ufa
 from helpers import (
     a_plus,
     a_star,
@@ -34,6 +34,7 @@ from helpers import (
     equivalent,
     language,
     nth_letter_dfa,
+    random_graph,
     random_nfa,
     random_nfa_any,
     reference_determinize,
@@ -1214,7 +1215,10 @@ class TestByteLanes:
         # Backward, nth-letter n = 12 has 4 lanes: by default its batches
         # of 8 to 1024 subsets are stepped by byte lane, and so are its
         # full batches of 32 at 64 cells.  Witness n = 10 has 360 lanes,
-        # against full batches of 22 subsets: never.
+        # against full batches of 22 subsets: never.  Its count stops
+        # after one batch, so counting takes it with its first letter,
+        # c{}, moving out of two states into two: still 180 letters on
+        # 16 states or fewer, 360 lanes.
         def batches(nfa, cells, rows):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(automata, "_BATCH_CELLS", cells)
@@ -1228,9 +1232,110 @@ class TestByteLanes:
             assert [name for name, _, _ in calls] == ["_row_images"] * 4 + ["_column_images"] * 8
             full = [name for name, subsets, _ in batches(nth_letter_dfa(12), 64, rows) if subsets == 32]
             assert full and set(full) == {"_column_images"}
-            calls = batches(witness_ufa(10), automata._BATCH_CELLS, rows)
+            witness = witness_ufa(10) if rows else _forked(witness_ufa(10), "c{}")
+            calls = batches(witness, automata._BATCH_CELLS, rows)
             assert {name for name, _, _ in calls} == {"_row_images"}
             assert ("_row_images", 22, 360) in calls
+
+
+def _stepped(nfa, direction):
+    """The count of ``nfa``'s ``direction`` side, and how many subsets it
+    stepped (took the images of) before it stopped."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _image_calls(patch)
+        size = _rows_free(nfa, direction, DEFAULT_CAP)
+    return size, sum(subsets for _, subsets, _ in calls)
+
+
+def _graph_automata():
+    """graph_to_ufa of random graphs on up to 7 vertices, and witness_ufa(n)
+    for n <= 12: each letter moves out of vertex 0 or into it."""
+    rng = random.Random(71)
+    graphs = [random_graph(rng, rng.randint(0, 7), rng.random()) for _ in range(40)]
+    return [graph_to_ufa(g) for g in graphs] + [witness_ufa(n) for n in range(13)]
+
+
+def _forked(nfa, letter="x"):
+    """``nfa`` with two more states, n and n + 1, and ``letter`` (added last
+    unless it is there) moving 0 to n and 1 to n + 1: two sources with two
+    targets, so the letter has four images, not two."""
+    n = nfa.state_count
+    alphabet = nfa.alphabet + (letter,) * (letter not in nfa.alphabet)
+    transitions = nfa.transitions | {(0, letter, n), (1, letter, n + 1)}
+    return Nfa(n + 2, alphabet, transitions, nfa.initial, nfa.final)
+
+
+def _two_image_nfa(rng) -> Nfa:
+    """A random automaton whose letters each move out of one state or into
+    one, from several initial states, so that the empty image is often
+    found after the others."""
+    n = rng.randint(1, 6)
+    alphabet = tuple("abcd"[: rng.randint(1, 4)])
+    transitions = set()
+    for a in alphabet:
+        q, others = rng.randrange(n), [r for r in range(n) if rng.random() < 0.4]
+        transitions |= {(q, a, r) if rng.random() < 0.5 else (r, a, q) for r in others}
+    initial = {q for q in range(n) if rng.random() < 0.6}
+    final = {q for q in range(n) if rng.random() < 0.6}
+    return Nfa(n, alphabet, transitions, initial, final)
+
+
+def _kept_source_nfa(rng) -> Nfa:
+    """A random automaton whose letters each move from state 0, the only
+    initial state, to 0 and some other states: forward 0 is in every
+    subset, backward the single target 0 is, so no image is empty."""
+    n = rng.randint(1, 7)
+    alphabet = tuple("abcd"[: rng.randint(1, 4)])
+    transitions = {(0, a, 0) for a in alphabet}
+    transitions |= {(0, a, r) for a in alphabet for r in range(1, n) if rng.random() < 0.4}
+    final = {0} | {q for q in range(n) if rng.random() < 0.4}
+    return Nfa(n, alphabet, transitions, {0}, final)
+
+
+class TestCountStopsAtTheKnownImages:
+    """A count whose letters each move out of one state or into one stops
+    once every image they can give is known, with the oracle's size and
+    the rows-mode cap outcomes.  Stopped early, it never steps the subsets
+    its last batch found; otherwise it steps every subset."""
+
+    def _check(self, nfa, fires=None):
+        caps = set()
+        for direction in (FORWARD, BACKWARD):
+            size, stepped = _stepped(nfa, direction)
+            assert size == _reference_size(nfa, direction, DEFAULT_CAP)
+            if fires is not None:
+                assert (stepped < size) == fires
+            caps |= {size - 1, size, size + 1} - {0}
+        for cap in caps:
+            _assert_both_modes_match_reference(nfa, cap)
+
+    def test_graph_automata_stop_early(self):
+        for nfa in _graph_automata():
+            self._check(nfa, fires=True)
+
+    def test_a_letter_with_two_sources_and_two_targets_turns_the_stop_off(self):
+        for nfa in _graph_automata():
+            self._check(_forked(nfa), fires=False)
+
+    def test_an_empty_image_never_found_keeps_the_count_going(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            self._check(_kept_source_nfa(rng), fires=False)
+
+    def test_random_letters_out_of_one_state_or_into_one(self):
+        rng = random.Random(79)
+        for _ in range(300):
+            self._check(_two_image_nfa(rng))
+
+    def test_witness_16_counts_in_one_batch_each_way(self):
+        nfa = witness_ufa(16)
+        for direction, size in zip((FORWARD, BACKWARD), _witness_sizes(16)):
+            assert _stepped(nfa, direction) == (size, 1)
+
+    def test_witness_sizes_are_the_closed_form(self):
+        for n in range(23):
+            report = measure_constructions(witness_ufa(n))
+            assert (report.k, report.l) == _witness_sizes(n)
 
 
 def _recording_determinize(calls: list):
