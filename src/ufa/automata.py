@@ -19,12 +19,14 @@ images have fewer bytes (lanes) than it has subsets.  A batch's images
 split into one flat tuple of per-letter int fields (by ``struct`` when
 narrow), which one set difference counts or one lookup pass numbers.
 
-is_unambiguous works on pairs of states.  Small inputs keep them as packed
-rows (bit q of row p for the pair (p, q)): each forward candidate is probed
-forward until it meets a pair of final states or closes, which marks all
-it saw dead, and only the witness's backward cone is searched pair by
-pair.  Larger ones search pairs one by one, backward only over the pairs
-the forward search reached.
+is_unambiguous answers a deterministic input, or its mirror image (as
+every complement is), from one set of its transitions, and otherwise
+works on pairs of states.  Small inputs keep them as packed rows (bit q
+of row p for the pair (p, q)), stepped forward only: each forward
+candidate is probed until it meets a pair of final states or closes,
+which marks all it saw dead, and only the witness's cone is searched
+backward pair by pair.  Larger ones search pairs one by one, backward
+only over the pairs the forward search reached.
 
 complement_construction counts both sides without rows, then builds only
 the chosen one, capped at its counted size, with its transition table:
@@ -355,21 +357,23 @@ def _pair_layers(kernel, seeds: dict, within: list, left: dict):
 
 def _cone_parents(nfa: Nfa, tables, layers: list, target: int) -> dict:
     """The backward pair search's parent links from ``target`` to a seed,
-    read off ``tables`` (see _tables_of); ``layers`` are that search's
-    layers up to the target's, or a restriction of them to pairs that
-    keeps every shortest path from the target (see _unambiguity).
+    read off ``tables`` (see _tables_of) and ``layers``: the forward
+    layers from the target to the first with a pair of final states,
+    through pairs that keep every shortest path to one (_witness_pair).
 
-    With d the target's layer, C_d = {target} and C_(j-1) holds the pairs
-    of layer j - 1 that a pair of C_j steps to along the forward _index:
-    all the candidate parents of C_j.  So _pair_search restricted to the
-    cone, the union of the C_j, queues each layer's cone pairs in the full
-    search's order and gives each the full search's parent.
+    The cone is the pairs on those paths: C_d is the last layer's final
+    pairs and C_j the pairs of layer j that step to one of C_(j+1), found
+    along the backward _index, all the candidate parents of C_(j+1).  So
+    _pair_search restricted to the cone, the union of the C_j, queues
+    each layer's cone pairs in the full search's order and gives each the
+    full search's parent.
     """
     n = nfa.state_count
-    columns = list(tables(FORWARD).values())
-    depth = next(d for d, layer in enumerate(layers) if layer.get(target // n, 0) >> target % n & 1)
-    cone, above = {target}, {target}
-    for layer in reversed(layers[:depth]):
+    final = _mask(nfa.final)
+    columns = list(tables(BACKWARD).values())
+    above = {s * n + q for s, row in layers[-1].items() if final >> s & 1 for q in _bits(row & final)}
+    cone = set(above)
+    for layer in reversed(layers[:-1]):
         below = set()
         for code in above:
             p, q = divmod(code, n)
@@ -385,7 +389,7 @@ def _cone_parents(nfa: Nfa, tables, layers: list, target: int) -> dict:
 
 
 def _witness_pair(nfa: Nfa, fwd_parent: dict, tables, forward):
-    """(witness pair code or None, its backward layers, live rows) on
+    """(witness pair code or None, its forward layers, live rows) on
     ``tables`` (see _tables_of) and ``forward``, their forward _pair_kernel.
 
     Each pair of distinct states that the forward search (filling
@@ -393,8 +397,8 @@ def _witness_pair(nfa: Nfa, fwd_parent: dict, tables, forward):
     forward from it through live pairs.  A probe that closes without a
     pair of final states clears all it saw from the live rows, so each
     pair is seen by at most one such probe.  The first probe to meet a
-    final pair, at layer d, gives the witness pair X; the backward
-    layers, from the final pairs, run within that probe as far as d.
+    final pair, at layer d, gives the witness pair X and its layers up to
+    d, run again so that no probe keeps its own.
     """
     n = nfa.state_count
     final = _mask(nfa.final)
@@ -406,19 +410,16 @@ def _witness_pair(nfa: Nfa, fwd_parent: dict, tables, forward):
         left = {}
         for depth, layer in enumerate(_pair_layers(forward, {p: 1 << q}, live, left)):
             if any(final >> s & 1 and row & final for s, row in layer.items()):
-                within = [live[s] ^ left.get(s, live[s]) for s in range(n)]
-                seeds = {s: within[s] & final for s in nfa.final if within[s] & final}
-                backward = _pair_kernel(tables(BACKWARD), tables(BACKWARD, True), n)
-                return code, list(islice(_pair_layers(backward, seeds, within, {}), depth + 1)), live
+                return code, list(islice(_pair_layers(forward, {p: 1 << q}, live, {}), depth + 1)), live
         for s, unseen in left.items():
             live[s] = unseen
     return None, [], live
 
 
 def _unambiguity(nfa: Nfa, tables=None):
-    """The forward-reachable pairs, as (p, q) tuples in no set order
-    (produced lazily), and a witness word, or None when no word has two
-    accepting runs, read off ``tables`` (see _tables_of) or its own.
+    """(the forward-reachable pairs as (p, q) tuples in no set order,
+    produced lazily, and None) when no word has two accepting runs, else
+    (None, a witness word), read off ``tables`` (see _tables_of) or its own.
 
     The witness pair X is the first pair of distinct states in forward
     discovery order from which a common word leads to a pair of final
@@ -426,12 +427,11 @@ def _unambiguity(nfa: Nfa, tables=None):
     is probed (_witness_pair).  A pair that steps to one leading to a
     final pair leads to one too, so pruning dead pairs keeps the order and
     parents of those that do, X's among them.  X's backward per-pair
-    search runs on its cone (_cone_parents), from layers within X's probe:
-    a shortest path from the cone to a final pair stays within X's
-    distance d.  A yes answer costs one pass over the forward pairs.
-    Above _PAIR_BITS both per-pair searches run in full, the backward one
-    only over the forward pairs, which keeps their order, parents and
-    layers: a pair Y discovers X only when X steps to Y.
+    search runs on its cone (_cone_parents), read off X's probe layers.
+    A yes answer costs one pass over the forward pairs.  Above _PAIR_BITS
+    both per-pair searches run in full, the backward one only over the
+    forward pairs, which keeps their order, parents and layers: a pair Y
+    discovers X only when X steps to Y.
     """
     n = nfa.state_count
     tables = tables or _tables_of(nfa)
@@ -452,12 +452,10 @@ def _unambiguity(nfa: Nfa, tables=None):
             dead = ((p, q) for p, row in enumerate(live) for q in _bits(full ^ row))
             pairs = chain(dead, (divmod(code, n) for code in fwd_parent if live[code // n] >> code % n & 1))
         else:
-            closure = _pair_layers(forward, dict.fromkeys(nfa.initial, _mask(nfa.initial)), [full] * n, {})
-            pairs = ((p, q) for layer in closure for p, row in layer.items() for q in _bits(row))
             bwd_parent = _cone_parents(nfa, tables, layers, target)
     if target is None:
         return pairs, None
-    return pairs, _trace_word(fwd_parent, target, True) + _trace_word(bwd_parent, target, False)
+    return None, _trace_word(fwd_parent, target, True) + _trace_word(bwd_parent, target, False)
 
 
 def is_unambiguous(nfa: Nfa, *, _tables=None):
@@ -470,12 +468,13 @@ def is_unambiguous(nfa: Nfa, *, _tables=None):
     and the search stops at the first one that meets a pair of final
     states (see _unambiguity).  Returns (True, None) or (False, witness)
     where the witness word has at least two accepting runs.  An input with
-    at most one initial state and at most one successor per (state,
-    letter) has at most one run per word, and one set of its (source,
-    letter) pairs answers it yes with no index.
+    at most one initial state and one successor per (state, letter), or
+    its mirror image, has at most one run per word: one set of its (source,
+    letter), or (letter, target), pairs answers it yes with no index.
     """
-    if len(nfa.initial) <= 1 and len({t[:2] for t in nfa.transitions}) == len(nfa.transitions):
-        return True, None
+    for ends, key in ((nfa.initial, slice(2)), (nfa.final, slice(1, 3))):
+        if len(ends) <= 1 and len({t[key] for t in nfa.transitions}) == len(nfa.transitions):
+            return True, None
     _, witness = _unambiguity(nfa, _tables)
     return witness is None, witness
 

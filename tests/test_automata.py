@@ -172,10 +172,42 @@ class TestDeterministicFastPath:
         assert pair_searches == [nfa]
 
     def test_two_successors_still_search(self, pair_searches):
-        # One initial state, but state 0 has two a-successors.
+        # One initial state, but state 0 has two a-successors.  Its
+        # (letter, target) pairs are distinct, but it has two final states.
         nfa = Nfa(3, ("a",), {(0, "a", 1), (0, "a", 2)}, {0}, {1, 2})
         assert is_unambiguous(nfa) == reference_is_unambiguous(nfa) == (False, ("a",))
         assert pair_searches == [nfa]
+
+    def test_co_deterministic_automata_are_answered_without_a_pair_search(self, pair_searches):
+        # The mirror of the DFA rule: at most one final state and at most
+        # one predecessor per (state, letter).
+        rng = random.Random(62)
+        for _ in range(100):
+            n, letters = rng.randint(1, 40), rng.randint(1, 3)
+            targets, start, _ = _random_dfa(rng, n, letters)
+            alphabet = tuple("abc"[:letters])
+            transitions = {
+                (q, a, targets[q][j]) for q in range(n) for j, a in enumerate(alphabet) if rng.random() < 0.9
+            }
+            starts = {q for q in range(n) if rng.random() < 0.4}
+            # Reversed: several initial states and at most one final one.
+            nfa = _mirror(Nfa(n, alphabet, transitions, {start} if rng.random() < 0.9 else set(), starts))
+            assert reference_is_unambiguous(nfa) == (True, None)
+            assert is_unambiguous(nfa) == (True, None)
+        assert pair_searches == []
+
+    def test_every_complement_is_answered_without_a_pair_search(self, pair_searches):
+        # A forward-chosen complement is a complete DFA; a backward-chosen
+        # one has one final state and one move into each (state, letter).
+        rng = random.Random(63)
+        pool = [witness_ufa(n) for n in range(9)]
+        pool += [nfa for nfa in (random_nfa(rng) for _ in range(80)) if reference_is_unambiguous(nfa)[0]]
+        results = [complement_ufa(nfa) for nfa in pool]
+        assert {report.chosen for _, report in results} == {FORWARD, BACKWARD}
+        pair_searches.clear()
+        for complement, _ in results:
+            assert is_unambiguous(complement) == (True, None)
+        assert pair_searches == []
 
 
 def _random_automaton(rng) -> Nfa:
@@ -324,39 +356,58 @@ def _probe_families(rng):
     return pool
 
 
-def _assert_oracle_layers(nfa: Nfa, target: int, layers: list) -> int:
-    """Check _witness_pair's backward ``layers`` for the witness pair X
-    (code ``target``) against the oracle's breadth-first layers within the
-    forward-reachable pairs, and return how many pairs they hold.
+def _pair_distances(nfa: Nfa, start, rows, within) -> dict:
+    """Breadth-first distance from the pairs ``start`` of each pair of
+    ``within`` stepped along ``rows`` (reference_rows) through ``within``."""
+    found, layer, j = {}, set(start) & within, 0
+    while layer:
+        found.update(dict.fromkeys(layer, j))
+        steps = {(p2, q2) for p, q in layer for a in nfa.alphabet for p2 in rows[a].get(p, ()) for q2 in rows[a].get(q, ())}
+        layer, j = (steps & within) - found.keys(), j + 1
+    return found
 
-    With d X's oracle layer and dist(Y) a pair Y's distance from X, the
-    layers run to layer d, which holds X.  A pair Y with dist(Y) +
-    layer(Y) <= d has all its shortest paths to a final pair within X's
-    distance d, so it is in its oracle layer; every other pair is
-    reachable, within distance d of X, and in no earlier layer than the
-    oracle's."""
+
+def _oracle_cone(nfa: Nfa, target: int) -> set:
+    """The codes of the pairs on the shortest paths from the pair coded
+    ``target`` to a pair of final states: the forward-reachable pairs Y
+    with dist(X, Y) + dist(Y, final) = dist(X, final)."""
+    n = nfa.state_count
     reach = set(reference_reachable_state_pairs(nfa))
+    dist = _pair_distances(nfa, [divmod(target, n)], reference_rows(nfa, backward=False), reach)
+    depth = _pair_distances(nfa, seed_pairs(nfa.final), reference_rows(nfa, backward=True), reach)
+    d = depth[divmod(target, n)]
+    return {p * n + q for (p, q), j in dist.items() if j + depth.get((p, q), d + 1) == d}
 
-    def distances(start, rows):
-        """Breadth-first distance from ``start`` of each pair of reach."""
-        found, layer, j = {}, set(start) & reach, 0
-        while layer:
-            found.update(dict.fromkeys(layer, j))
-            steps = {(p2, q2) for p, q in layer for a in nfa.alphabet for p2 in rows[a].get(p, ()) for q2 in rows[a].get(q, ())}
-            layer, j = (steps & reach) - found.keys(), j + 1
-        return found
 
-    x = divmod(target, nfa.state_count)
-    depth = distances(seed_pairs(nfa.final), reference_rows(nfa, backward=True))
-    dist = distances([x], reference_rows(nfa, backward=False))
+def _assert_oracle_layers(nfa: Nfa, target: int, layers: list, live: list) -> int:
+    """Check _witness_pair's forward ``layers`` for the witness pair X
+    (code ``target``) against the oracle, and return how many pairs they
+    hold.
+
+    Layer 0 is {X}, the last layer d is the first that holds a pair of
+    final states, and d is X's oracle distance to one.  The layers hold
+    exactly the pairs within distance d of X through the ``live`` pairs,
+    each at that distance, all forward-reachable; those that reach a
+    final pair (as every pair on a path from X to one does) sit at their
+    oracle distance from X within all the forward-reachable pairs."""
+    n = nfa.state_count
+    reach = set(reference_reachable_state_pairs(nfa))
+    x = divmod(target, n)
+    forward = reference_rows(nfa, backward=False)
+    dist = _pair_distances(nfa, [x], forward, reach)
+    through_live = _pair_distances(nfa, [x], forward, {(p, q) for p, q in reach if live[p] >> q & 1})
+    depth = _pair_distances(nfa, seed_pairs(nfa.final), reference_rows(nfa, backward=True), reach)
     d = depth[x]
-    got = {(p, q): j for j, layer in enumerate(layers) for p, row in layer.items() for q in automata._bits(row)}
-    assert len(layers) == d + 1 and got[x] == d
+    got = [((p, q), j) for j, layer in enumerate(layers) for p, row in layer.items() for q in automata._bits(row)]
+    assert len(got) == len(dict(got))
+    got = dict(got)
+    assert len(layers) == d + 1 and layers[0] == {x[0]: 1 << x[1]}
+    assert [any(p in nfa.final and q in nfa.final for p, q in got if got[p, q] == j) for j in range(d + 1)] == [False] * d + [True]
+    assert got == {pair: j for pair, j in through_live.items() if j <= d}
     for pair, j in got.items():
-        assert pair in reach and dist[pair] <= d and depth[pair] <= j, pair
-    for pair, at in depth.items():
-        if dist.get(pair, d + 1) + at <= d:
-            assert got.get(pair) == at, pair
+        assert pair in reach and dist[pair] <= j, pair
+        if pair in depth:
+            assert dist[pair] == j, pair
     return len(got)
 
 
@@ -394,7 +445,10 @@ class TestPairSearchAgainstTheOracle:
                 assert is_unambiguous(nfa) == expected, path
                 pairs, _ = _unambiguity(nfa)
                 reachable = reference_reachable_state_pairs(nfa)
-                if path == "pairs":
+                if not expected[0]:
+                    # A no answer keeps no pairs.
+                    assert pairs is None
+                elif path == "pairs":
                     assert list(pairs) == reachable
                 else:
                     assert sorted(pairs) == sorted(reachable)
@@ -412,20 +466,24 @@ class TestPairSearchAgainstTheOracle:
                 monkeypatch.setattr(automata, "_PAIR_BITS", bits)
                 assert is_unambiguous(nfa) == expected
 
-    def test_backward_layers_stay_within_the_forward_pairs(self):
+    def test_witness_layers_are_the_forward_layers_from_the_witness(self):
         rng = random.Random(77)
-        checked = 0
+        checked = ambiguous = 0
         for _ in range(400):
             nfa = rng.choice((_random_automaton, _dfa_with_twin))(rng)
-            target, layers, _ = _probe(nfa, {})
-            reach = set(reference_reachable_state_pairs(nfa))
-            for layer in layers:
-                for p, row in layer.items():
-                    assert {(p, q) for q in automata._bits(row)} <= reach
-                    checked += 1
+            target, layers, live = _probe(nfa, {})
+            if target is None:
+                assert layers == []
+            else:
+                checked += _assert_oracle_layers(nfa, target, layers, live)
+                ambiguous += 1
+        for nfa in _probe_families(random.Random(78)):
+            target, layers, live = _probe(nfa, {})
             if target is not None:
-                checked += _assert_oracle_layers(nfa, target, layers)
-        assert checked >= 100
+                checked += _assert_oracle_layers(nfa, target, layers, live)
+                ambiguous += 1
+        assert ambiguous >= 200
+        assert checked >= 1000
 
     def test_the_size_rule_picks_the_path(self, monkeypatch):
         # At n * n * (|alphabet| + 1) bits the pairs are packed rows, one bit
@@ -468,15 +526,13 @@ class TestPairSearchAgainstTheOracle:
         for nfa in _field_boundary_twins(n):
             expected = reference_is_unambiguous(nfa)
             assert not expected[0]
-            reachable = sorted(reference_reachable_state_pairs(nfa))
             for path, bits in PAIR_PATHS.items():
                 monkeypatch.setattr(automata, "_PAIR_BITS", bits)
                 assert is_unambiguous(nfa) == expected, path
-                assert sorted(_unambiguity(nfa)[0]) == reachable, path
-            # The backward layers are the oracle's breadth-first layers
-            # within the reachable pairs on the pairs they share with it.
-            target, layers, _ = _probe(nfa, {})
-            _assert_oracle_layers(nfa, target, layers)
+            # The witness pair's layers are the oracle's forward layers
+            # from it.
+            target, layers, live = _probe(nfa, {})
+            _assert_oracle_layers(nfa, target, layers, live)
 
     def test_dead_sinks_and_co_deterministic_automata(self, monkeypatch):
         pool = _probe_families(random.Random(808))
@@ -588,6 +644,57 @@ class TestPairSearchAgainstTheOracle:
             ambiguous += 1
         assert ambiguous >= 300
         assert wide >= 50
+
+    def test_the_cone_is_the_shortest_paths_to_a_final_pair(self, monkeypatch):
+        # The pairs _cone_parents replays the backward search on are those
+        # of the oracle's cone.
+        search, cones = automata._pair_search, []
+
+        def spy(nfa, parent, index, seeds, allowed=None, live=None):
+            if allowed is not None:
+                cones.append(allowed)
+            return search(nfa, parent, index, seeds, allowed, live)
+
+        monkeypatch.setattr(automata, "_pair_search", spy)
+        rng = random.Random(32)
+        pool = [_random_automaton(rng) for _ in range(800)] + [_dfa_with_twin(rng) for _ in range(300)]
+        pool += [_planted_twin(rng, rng.randint(100, 200), 2 + i % 2) for i in range(8)]
+        pool += _probe_families(rng)
+        ambiguous = branching = 0
+        for nfa in pool:
+            tables = automata._tables_of(nfa)
+            target, layers, _ = _probe(nfa, {}, tables)
+            if target is None:
+                continue
+            cones.clear()
+            automata._cone_parents(nfa, tables, layers, target)
+            assert cones == [_oracle_cone(nfa, target)]
+            ambiguous += 1
+            branching += len(cones[0]) > len(layers)
+        assert ambiguous >= 400
+        assert branching >= 50
+
+    def test_a_no_answer_packs_and_steps_the_forward_index_only(self, monkeypatch):
+        pack, kernel = automata._pack, automata._pair_kernel
+        packed, kernels = [], []
+
+        def pack_spy(index, n):
+            packed.append(index)
+            return pack(index, n)
+
+        def kernel_spy(index, rows, n):
+            kernels.append(index)
+            return kernel(index, rows, n)
+
+        monkeypatch.setattr(automata, "_pack", pack_spy)
+        monkeypatch.setattr(automata, "_pair_kernel", kernel_spy)
+        rng = random.Random(14)
+        for i in range(6):
+            nfa = _planted_twin(rng, rng.randint(100, 200), 2 + i % 2)
+            packed.clear()
+            kernels.clear()
+            assert not is_unambiguous(nfa)[0]
+            assert packed == kernels == [_index(nfa, FORWARD)] != [_index(nfa, BACKWARD)]
 
     def test_dfa_backward_search_stays_on_the_diagonal(self):
         # A DFA reaches only pairs (q, q), so the pruned backward search

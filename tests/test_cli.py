@@ -459,6 +459,21 @@ class TestOversizedHeaderCounts:
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+def test_co_deterministic_twenty_thousand_states(tmp_path):
+    # The mirror of a random 20,000-state DFA over a b: every third state
+    # initial, state 0 the one final state.  Its 400,000,000 pairs ended
+    # in a MemoryError traceback with exit 1 after 18 s; one set of its
+    # (letter, target) pairs answers it.
+    rng = random.Random(20)
+    n = 20000
+    lines = [f"nfa {n}", "alphabet a b", "initial " + " ".join(map(str, range(0, n, 3))), "final 0"]
+    lines += [f"trans {rng.randrange(n)} {a} {q}" for q in range(n) for a in "ab"]
+    path = tmp_path / "codet.nfa"
+    path.write_text("\n".join(lines) + "\n")
+    assert _run_limited(["check-unambiguous", str(path)], timeout=30) == (EXIT_OK, "unambiguous=yes\n", "")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
 def test_declared_hundred_million_states_without_transitions(tmp_path):
     # 54 bytes.  Per-symbol rows with an entry per declared state ended in
     # a MemoryError traceback with exit 1; rows now hold only the states
