@@ -24,9 +24,9 @@ every complement is), from one set of its transitions, and otherwise
 works on pairs of states.  Small inputs keep them as packed rows (bit q
 of row p for the pair (p, q)), stepped forward only: each forward
 candidate is probed until it meets a pair of final states or closes,
-which marks all it saw dead, and only the witness's cone is searched
-backward pair by pair.  Larger ones search pairs one by one, backward
-only over the pairs the forward search reached.
+which marks all it saw dead, and the backward search runs pair by pair
+only over the pairs the witness's probe saw.  Larger ones search pairs
+one by one, backward only over the pairs the forward search reached.
 
 complement_construction counts both sides without rows, then builds only
 the chosen one, capped at its counted size, with its transition table:
@@ -355,41 +355,32 @@ def _pair_layers(kernel, seeds: dict, within: list, left: dict):
                 left[p] = unseen ^ new
 
 
-def _cone_parents(nfa: Nfa, tables, layers: list, target: int) -> dict:
-    """The backward pair search's parent links from ``target`` to a seed,
-    read off ``tables`` (see _tables_of) and ``layers``: the forward
-    layers from the target to the first with a pair of final states,
-    through pairs that keep every shortest path to one (_witness_pair).
+def _cone_parents(nfa: Nfa, tables, seen: dict, target: int) -> dict:
+    """The backward pair search's parent links from ``target``, the
+    witness pair X, to a seed: _pair_search replayed on ``seen``, the rows
+    of the pairs X's probe saw (_witness_pair), read off ``tables`` (see
+    _tables_of), and stopped at X.
 
-    The cone is the pairs on those paths: C_d is the last layer's final
-    pairs and C_j the pairs of layer j that step to one of C_(j+1), found
-    along the backward _index, all the candidate parents of C_(j+1).  So
-    _pair_search restricted to the cone, the union of the C_j, queues
-    each layer's cone pairs in the full search's order and gives each the
-    full search's parent.
+    Those pairs hold X's cone, the pairs on its shortest paths to a final
+    pair, and are all forward pairs, so the replay gives each cone pair
+    the parent of the full search over the forward pairs.  Let cone pair
+    Y be k steps from a final pair.  A pair Z that Y steps to and that
+    either search queues at depth k - 1 is at most k - 1 steps from a
+    final pair and at most one step farther from X than Y, so it is on a
+    shortest path from X: in the cone.  So Y's candidate parents are the
+    same cone pairs in both searches, and by induction on k the cone
+    pairs keep their queue order, parents and letters: the witness word
+    is the full search's.
     """
     n = nfa.state_count
-    final = _mask(nfa.final)
-    columns = list(tables(BACKWARD).values())
-    above = {s * n + q for s, row in layers[-1].items() if final >> s & 1 for q in _bits(row & final)}
-    cone = set(above)
-    for layer in reversed(layers[:-1]):
-        below = set()
-        for code in above:
-            p, q = divmod(code, n)
-            for rows in columns:
-                for p2 in rows.get(p, ()):
-                    mask = layer.get(p2, 0)
-                    below.update(p2 * n + q2 for q2 in rows.get(q, ()) if mask >> q2 & 1)
-        cone |= below
-        above = below
+    allowed = {s * n + q for s, row in seen.items() for q in _bits(row)}
     parent = {}
-    next(code for code in _pair_search(nfa, parent, tables(BACKWARD), nfa.final, cone) if code == target)
+    next(code for code in _pair_search(nfa, parent, tables(BACKWARD), nfa.final, allowed) if code == target)
     return parent
 
 
 def _witness_pair(nfa: Nfa, fwd_parent: dict, tables, forward):
-    """(witness pair code or None, its forward layers, live rows) on
+    """(witness pair code or None, the rows its probe saw, live rows) on
     ``tables`` (see _tables_of) and ``forward``, their forward _pair_kernel.
 
     Each pair of distinct states that the forward search (filling
@@ -397,8 +388,10 @@ def _witness_pair(nfa: Nfa, fwd_parent: dict, tables, forward):
     forward from it through live pairs.  A probe that closes without a
     pair of final states clears all it saw from the live rows, so each
     pair is seen by at most one such probe.  The first probe to meet a
-    final pair, at layer d, gives the witness pair X and its layers up to
-    d, run again so that no probe keeps its own.
+    final pair, at layer d, gives the witness pair X and, as rows by
+    state, the pairs of its layers 0..d less those of layer d that are
+    not pairs of final states: the pairs within distance d - 1 of X
+    through live pairs and the final pairs at distance d.
     """
     n = nfa.state_count
     final = _mask(nfa.final)
@@ -408,12 +401,15 @@ def _witness_pair(nfa: Nfa, fwd_parent: dict, tables, forward):
         if p == q or not live[p] >> q & 1:
             continue
         left = {}
-        for depth, layer in enumerate(_pair_layers(forward, {p: 1 << q}, live, left)):
+        for layer in _pair_layers(forward, {p: 1 << q}, live, left):
             if any(final >> s & 1 and row & final for s, row in layer.items()):
-                return code, list(islice(_pair_layers(forward, {p: 1 << q}, live, {}), depth + 1)), live
+                seen = {s: live[s] ^ unseen for s, unseen in left.items()}
+                for s, row in layer.items():
+                    seen[s] ^= row & ~final if final >> s & 1 else row
+                return code, seen, live
         for s, unseen in left.items():
             live[s] = unseen
-    return None, [], live
+    return None, {}, live
 
 
 def _unambiguity(nfa: Nfa, tables=None):
@@ -427,11 +423,12 @@ def _unambiguity(nfa: Nfa, tables=None):
     is probed (_witness_pair).  A pair that steps to one leading to a
     final pair leads to one too, so pruning dead pairs keeps the order and
     parents of those that do, X's among them.  X's backward per-pair
-    search runs on its cone (_cone_parents), read off X's probe layers.
-    A yes answer costs one pass over the forward pairs.  Above _PAIR_BITS
-    both per-pair searches run in full, the backward one only over the
-    forward pairs, which keeps their order, parents and layers: a pair Y
-    discovers X only when X steps to Y.
+    search is replayed on the pairs X's probe saw (_cone_parents), which
+    keeps the full search's parents on X's cone.  A yes answer costs one
+    pass over the forward pairs.  Above _PAIR_BITS both per-pair searches
+    run in full, the backward one only over the forward pairs, which keeps
+    their order, parents and layers: a pair Y discovers X only when X
+    steps to Y.
     """
     n = nfa.state_count
     tables = tables or _tables_of(nfa)
@@ -444,7 +441,7 @@ def _unambiguity(nfa: Nfa, tables=None):
         target = next((code for code in fwd_order if code in bwd_parent and code // n != code % n), None)
     else:
         forward = _pair_kernel(tables(FORWARD), tables(FORWARD, True), n)
-        target, layers, live = _witness_pair(nfa, fwd_parent, tables, forward)
+        target, seen, live = _witness_pair(nfa, fwd_parent, tables, forward)
         full = (1 << n) - 1
         if target is None:
             # Each forward pair is dead, seen by a probe that closed, or a
@@ -452,7 +449,7 @@ def _unambiguity(nfa: Nfa, tables=None):
             dead = ((p, q) for p, row in enumerate(live) for q in _bits(full ^ row))
             pairs = chain(dead, (divmod(code, n) for code in fwd_parent if live[code // n] >> code % n & 1))
         else:
-            bwd_parent = _cone_parents(nfa, tables, layers, target)
+            bwd_parent = _cone_parents(nfa, tables, seen, target)
     if target is None:
         return pairs, None
     return None, _trace_word(fwd_parent, target, True) + _trace_word(bwd_parent, target, False)

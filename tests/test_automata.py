@@ -379,17 +379,17 @@ def _oracle_cone(nfa: Nfa, target: int) -> set:
     return {p * n + q for (p, q), j in dist.items() if j + depth.get((p, q), d + 1) == d}
 
 
-def _assert_oracle_layers(nfa: Nfa, target: int, layers: list, live: list) -> int:
-    """Check _witness_pair's forward ``layers`` for the witness pair X
-    (code ``target``) against the oracle, and return how many pairs they
-    hold.
+def _assert_oracle_rows(nfa: Nfa, target: int, seen: dict, live: list) -> int:
+    """Check the rows ``seen`` that _witness_pair returns for the witness
+    pair X (code ``target``) against the oracle, and return how many pairs
+    they hold.
 
-    Layer 0 is {X}, the last layer d is the first that holds a pair of
-    final states, and d is X's oracle distance to one.  The layers hold
-    exactly the pairs within distance d of X through the ``live`` pairs,
-    each at that distance, all forward-reachable; those that reach a
-    final pair (as every pair on a path from X to one does) sit at their
-    oracle distance from X within all the forward-reachable pairs."""
+    Let d be X's oracle distance to a pair of final states.  The rows
+    hold exactly the pairs at distance less than d from X through the
+    ``live`` pairs and the final pairs at distance d, all forward-reachable
+    and among them the oracle's cone of X.  Those that reach a final pair
+    (as every pair on a path from X to one does) sit at their oracle
+    distance from X within all the forward-reachable pairs."""
     n = nfa.state_count
     reach = set(reference_reachable_state_pairs(nfa))
     x = divmod(target, n)
@@ -398,16 +398,14 @@ def _assert_oracle_layers(nfa: Nfa, target: int, layers: list, live: list) -> in
     through_live = _pair_distances(nfa, [x], forward, {(p, q) for p, q in reach if live[p] >> q & 1})
     depth = _pair_distances(nfa, seed_pairs(nfa.final), reference_rows(nfa, backward=True), reach)
     d = depth[x]
-    got = [((p, q), j) for j, layer in enumerate(layers) for p, row in layer.items() for q in automata._bits(row)]
-    assert len(got) == len(dict(got))
-    got = dict(got)
-    assert len(layers) == d + 1 and layers[0] == {x[0]: 1 << x[1]}
-    assert [any(p in nfa.final and q in nfa.final for p, q in got if got[p, q] == j) for j in range(d + 1)] == [False] * d + [True]
-    assert got == {pair: j for pair, j in through_live.items() if j <= d}
-    for pair, j in got.items():
-        assert pair in reach and dist[pair] <= j, pair
-        if pair in depth:
-            assert dist[pair] == j, pair
+    got = {(p, q) for p, row in seen.items() for q in automata._bits(row)}
+    assert got == {
+        (p, q) for (p, q), j in through_live.items() if j < d or j == d and p in nfa.final and q in nfa.final
+    }
+    assert got <= reach
+    assert {divmod(code, n) for code in _oracle_cone(nfa, target)} <= got
+    for pair in got & depth.keys():
+        assert dist[pair] == through_live[pair], pair
     return len(got)
 
 
@@ -466,24 +464,24 @@ class TestPairSearchAgainstTheOracle:
                 monkeypatch.setattr(automata, "_PAIR_BITS", bits)
                 assert is_unambiguous(nfa) == expected
 
-    def test_witness_layers_are_the_forward_layers_from_the_witness(self):
+    def test_witness_rows_are_the_pairs_its_probe_saw(self):
         rng = random.Random(77)
         checked = ambiguous = 0
         for _ in range(400):
             nfa = rng.choice((_random_automaton, _dfa_with_twin))(rng)
-            target, layers, live = _probe(nfa, {})
+            target, seen, live = _probe(nfa, {})
             if target is None:
-                assert layers == []
+                assert seen == {}
             else:
-                checked += _assert_oracle_layers(nfa, target, layers, live)
+                checked += _assert_oracle_rows(nfa, target, seen, live)
                 ambiguous += 1
         for nfa in _probe_families(random.Random(78)):
-            target, layers, live = _probe(nfa, {})
+            target, seen, live = _probe(nfa, {})
             if target is not None:
-                checked += _assert_oracle_layers(nfa, target, layers, live)
+                checked += _assert_oracle_rows(nfa, target, seen, live)
                 ambiguous += 1
         assert ambiguous >= 200
-        assert checked >= 1000
+        assert checked >= 600
 
     def test_the_size_rule_picks_the_path(self, monkeypatch):
         # At n * n * (|alphabet| + 1) bits the pairs are packed rows, one bit
@@ -529,10 +527,9 @@ class TestPairSearchAgainstTheOracle:
             for path, bits in PAIR_PATHS.items():
                 monkeypatch.setattr(automata, "_PAIR_BITS", bits)
                 assert is_unambiguous(nfa) == expected, path
-            # The witness pair's layers are the oracle's forward layers
-            # from it.
-            target, layers, live = _probe(nfa, {})
-            _assert_oracle_layers(nfa, target, layers, live)
+            # The rows the witness pair's probe saw are the oracle's.
+            target, seen, live = _probe(nfa, {})
+            _assert_oracle_rows(nfa, target, seen, live)
 
     def test_dead_sinks_and_co_deterministic_automata(self, monkeypatch):
         pool = _probe_families(random.Random(808))
@@ -599,60 +596,47 @@ class TestPairSearchAgainstTheOracle:
                 got = None if link is None else (divmod(link[0], n), link[1])
                 assert got == want
 
-    def test_the_cone_search_gives_the_full_backward_parents(self, monkeypatch):
-        # On the rows path only the witness pair's backward cone is searched
-        # pair by pair.  The cone, oracle-built from the layers of the full
-        # backward search within the forward pairs, is what it visits, and
-        # each of its pairs gets that full search's parent.
+    def test_the_replay_gives_the_full_backward_parents_on_the_cone(self, monkeypatch):
+        # On the rows path the backward search is replayed pair by pair on
+        # the pairs the witness pair's probe saw.  Each pair of the oracle's
+        # cone gets the parent of the full backward search within the
+        # forward pairs, so the witness word is that search's.
         monkeypatch.setattr(automata, "_PAIR_BITS", PAIR_PATHS["rows"])
         rng = random.Random(31)
         pool = [_random_automaton(rng) for _ in range(800)]
         pool += [_dfa_with_twin(rng) for _ in range(300)]
         pool += [_planted_twin(rng, rng.randint(100, 200), 2 + i % 2) for i in range(8)]
         pool += [nfa for n in (8, 9, 16, 17, 64, 65) for nfa in _field_boundary_twins(n)]
-        ambiguous = wide = 0
+        pool += _probe_families(rng)
+        ambiguous = branching = wider = 0
         for nfa in pool:
-            n = nfa.state_count
             tables = automata._tables_of(nfa)
-            target, layers, _ = _probe(nfa, {}, tables)
+            target, seen, _ = _probe(nfa, {}, tables)
             if target is None:
                 continue
             forward, full = {}, {}
             list(_pair_search(nfa, forward, _index(nfa, FORWARD), nfa.initial))
-            depth = {}
-            for code in _pair_search(nfa, full, _index(nfa, BACKWARD), nfa.final, forward):
-                depth[code] = 0 if full[code] is None else depth[full[code][0]] + 1
-            rows = reference_rows(nfa, backward=True)
-
-            def steps_to(code, layer):
-                p, q = divmod(code, n)
-                return any(
-                    p2 * n + q2 in layer
-                    for a in nfa.alphabet
-                    for p2 in rows[a].get(p, ())
-                    for q2 in rows[a].get(q, ())
-                )
-
-            cone, layer = {target}, {target}
-            for d in range(depth[target] - 1, -1, -1):
-                layer = {code for code, at in depth.items() if at == d and steps_to(code, layer)}
-                cone |= layer
-                wide += len(layer) >= 2
-            parent = automata._cone_parents(nfa, tables, layers, target)
-            assert set(parent) == cone
-            assert {code: full[code] for code in cone} == parent
+            list(_pair_search(nfa, full, _index(nfa, BACKWARD), nfa.final, forward))
+            parent = automata._cone_parents(nfa, tables, seen, target)
+            cone = _oracle_cone(nfa, target)
+            assert {code: parent[code] for code in cone} == {code: full[code] for code in cone}
             ambiguous += 1
-        assert ambiguous >= 300
-        assert wide >= 50
+            # The cone holds two pairs of one layer, and the replay
+            # discovers pairs outside the cone.
+            branching += len(cone) > len(automata._trace_word(parent, target, False)) + 1
+            wider += len(parent) > len(cone)
+        assert ambiguous >= 400
+        assert branching >= 50
+        assert wider >= 40
 
-    def test_the_cone_is_the_shortest_paths_to_a_final_pair(self, monkeypatch):
+    def test_the_replay_runs_on_the_pairs_the_probe_saw(self, monkeypatch):
         # The pairs _cone_parents replays the backward search on are those
-        # of the oracle's cone.
-        search, cones = automata._pair_search, []
+        # of the witness pair's probe rows, and it stops at the witness pair.
+        search, replays = automata._pair_search, []
 
         def spy(nfa, parent, index, seeds, allowed=None, live=None):
             if allowed is not None:
-                cones.append(allowed)
+                replays.append((allowed, parent))
             return search(nfa, parent, index, seeds, allowed, live)
 
         monkeypatch.setattr(automata, "_pair_search", spy)
@@ -660,19 +644,22 @@ class TestPairSearchAgainstTheOracle:
         pool = [_random_automaton(rng) for _ in range(800)] + [_dfa_with_twin(rng) for _ in range(300)]
         pool += [_planted_twin(rng, rng.randint(100, 200), 2 + i % 2) for i in range(8)]
         pool += _probe_families(rng)
-        ambiguous = branching = 0
+        ambiguous = wider = 0
         for nfa in pool:
+            n = nfa.state_count
             tables = automata._tables_of(nfa)
-            target, layers, _ = _probe(nfa, {}, tables)
+            target, seen, _ = _probe(nfa, {}, tables)
             if target is None:
                 continue
-            cones.clear()
-            automata._cone_parents(nfa, tables, layers, target)
-            assert cones == [_oracle_cone(nfa, target)]
+            replays.clear()
+            automata._cone_parents(nfa, tables, seen, target)
+            ((allowed, parent),) = replays
+            assert allowed == {p * n + q for p, row in seen.items() for q in automata._bits(row)}
+            assert list(parent)[-1] == target
             ambiguous += 1
-            branching += len(cones[0]) > len(layers)
+            wider += len(allowed) > len(_oracle_cone(nfa, target))
         assert ambiguous >= 400
-        assert branching >= 50
+        assert wider >= 50
 
     def test_a_no_answer_packs_and_steps_the_forward_index_only(self, monkeypatch):
         pack, kernel = automata._pack, automata._pair_kernel

@@ -474,6 +474,36 @@ def test_co_deterministic_twenty_thousand_states(tmp_path):
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+class TestPairsPackedRowsCannotHold:
+    """Inputs past the packed-row size rule, whose pairs of states are
+    searched one by one: packed rows take n * n bits whatever the input
+    holds, and ended both of these in a MemoryError even at 3 GB."""
+
+    def test_hub_of_a_hundred_million_declared_states(self, tmp_path):
+        # 90 bytes: two initial states move on a into the one final state.
+        path = tmp_path / "hub.nfa"
+        path.write_text(
+            "nfa 100000000\nalphabet a\ninitial 0 1\nfinal 99999999\n"
+            "trans 0 a 99999999\ntrans 1 a 99999999\n"
+        )
+        assert _run_limited(["check-unambiguous", str(path)], timeout=30) == (
+            EXIT_PRECONDITION, "unambiguous=no witness=a\n", ""
+        )
+
+    def test_chain_of_a_hundred_thousand_states(self, tmp_path):
+        # An a-chain entered at states 0 and 1, with its last two states
+        # final: the runs from both meet the final pair after n - 2 letters.
+        n = 100_000
+        lines = [f"nfa {n}", "alphabet a", "initial 0 1", f"final {n - 2} {n - 1}"]
+        lines += [f"trans {q} a {q + 1}" for q in range(n - 1)]
+        path = tmp_path / "chain.nfa"
+        path.write_text("\n".join(lines) + "\n")
+        assert _run_limited(["check-unambiguous", str(path)], timeout=60) == (
+            EXIT_PRECONDITION, "unambiguous=no witness=" + " ".join("a" * (n - 2)) + "\n", ""
+        )
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
 def test_declared_hundred_million_states_without_transitions(tmp_path):
     # 54 bytes.  Per-symbol rows with an entry per declared state ended in
     # a MemoryError traceback with exit 1; rows now hold only the states
