@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 from . import bridge, graphs
@@ -257,6 +258,10 @@ def cmd_verify_graphs(args) -> int:
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
 
 
+# Built on the first main() call and reused: argparse reads the streams
+# and COLUMNS when it formats a message, not when it builds, so a reused
+# parser prints what a fresh one would.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ufa",

@@ -18,7 +18,9 @@ are skipped.  The ``nfa``/``graph`` header must come first; the other
 header lines may appear in any order but only once.  Serialization is
 canonical (sorted state sets, transitions by source then alphabet position
 then target, edges lexicographic with u < v), so parse and serialize are
-mutually inverse and repeated runs are byte-identical.
+mutually inverse and repeated runs are byte-identical.  The ``trans``
+lines' symbols are checked in bulk, by one set test after the line loop,
+and walked line by line only to name the first unknown one.
 
 write_subset_automaton writes a subset construction, or its complement, to
 a text stream straight from its row-major array of cells, in time linear
@@ -101,10 +103,27 @@ def parse_automaton(text: str) -> Nfa:
     state_count = _header_count(lines, "nfa", "state count")
     alphabet = None
     state_sets = {"initial": None, "final": None}
-    pending = []
+    # The trans lines' numbers, states and symbols, in four columns.
+    numbers, src, symbols, dst = [], [], [], []
     for line_no, tokens in lines:
         keyword = tokens[0]
-        if keyword == "alphabet":
+        if keyword == "trans":
+            if len(tokens) != 4:
+                raise ParseError("expected 'trans <src> <symbol> <dst>'", line_no)
+            _, p, symbol, q = tokens
+            try:
+                source, target = int(p), int(q)
+            except ValueError:
+                source = target = -1
+            if not (0 <= source < state_count and 0 <= target < state_count):
+                # Some state is bad: these calls raise, the source's first.
+                _state_token(p, state_count, line_no)
+                _state_token(q, state_count, line_no)
+            numbers.append(line_no)
+            src.append(source)
+            symbols.append(symbol)
+            dst.append(target)
+        elif keyword == "alphabet":
             if alphabet is not None:
                 raise ParseError("duplicate 'alphabet' line", line_no)
             alphabet = tokens[1:]
@@ -116,12 +135,6 @@ def parse_automaton(text: str) -> Nfa:
             state_sets[keyword] = frozenset(
                 _state_token(token, state_count, line_no) for token in tokens[1:]
             )
-        elif keyword == "trans":
-            if len(tokens) != 4:
-                raise ParseError("expected 'trans <src> <symbol> <dst>'", line_no)
-            src = _state_token(tokens[1], state_count, line_no)
-            dst = _state_token(tokens[3], state_count, line_no)
-            pending.append((line_no, src, tokens[2], dst))
         elif keyword == "nfa":
             raise ParseError("duplicate 'nfa' header", line_no)
         else:
@@ -132,17 +145,16 @@ def parse_automaton(text: str) -> Nfa:
         if value is None:
             raise ParseError(f"missing '{name}' line")
     known = set(alphabet)
-    transitions = set()
-    for line_no, src, symbol, dst in pending:
-        if symbol not in known:
-            raise ParseError(f"unknown symbol {symbol!r}", line_no)
-        transitions.add((src, symbol, dst))
+    if not known.issuperset(symbols):
+        for line_no, symbol in zip(numbers, symbols):
+            if symbol not in known:
+                raise ParseError(f"unknown symbol {symbol!r}", line_no)
     # Every rule Nfa.__post_init__ checks is checked above, and tokens are
     # nonempty and whitespace-free.
     return Nfa._trusted(
         state_count,
         tuple(alphabet),
-        frozenset(transitions),
+        frozenset(zip(src, symbols, dst)),
         state_sets["initial"],
         state_sets["final"],
     )

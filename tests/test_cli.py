@@ -699,6 +699,43 @@ class TestUsage:
         with pytest.raises(SystemExit):
             run_cli([], capsys)
 
+    def test_a_reused_parser_answers_as_a_fresh_one(self, a_plus_file, tmp_path, capsys, monkeypatch):
+        # main() builds its parser once per process; each call here must
+        # print and exit as `python -m ufa` does on the same argv, whose
+        # parser is fresh.  COLUMNS changes between the two help calls: it
+        # is read when a message is formatted, not when the parser is built.
+        assert ufa.cli._build_parser() is ufa.cli._build_parser()
+        twins = tmp_path / "twins.nfa"
+        twins.write_text(TWO_LOOP)
+        malformed = tmp_path / "bad.nfa"
+        malformed.write_text("nfa 2\nalphabet a\ninitial 0\nfinal 1\ntrans 0 a 2\n")
+        calls = [
+            (["check-unambiguous", a_plus_file], "80"),
+            (["check-unambiguous", str(twins)], "80"),
+            (["complement", a_plus_file, "-o", "{}.nfa"], "80"),
+            (["check-unambiguous", str(malformed)], "80"),
+            (["complement", a_plus_file, "--cap", "0"], "80"),
+            ([], "80"),
+            (["--help"], "80"),
+            (["complement", "--help"], "50"),
+        ]
+        here, there = tmp_path / "here.nfa", tmp_path / "there.nfa"
+        for argv, columns in calls:
+            monkeypatch.setenv("COLUMNS", columns)
+            try:
+                code = ufa.cli.main([arg.format(tmp_path / "here") for arg in argv])
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            done = subprocess.run(
+                [sys.executable, "-m", "ufa", *(arg.format(tmp_path / "there") for arg in argv)],
+                capture_output=True, text=True, env=_child_env(), timeout=60,
+            )
+            assert (code, out, err) == (done.returncode, done.stdout, done.stderr), argv
+            assert here.exists() == there.exists()
+            if here.exists():
+                assert here.read_bytes() == there.read_bytes()
+
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_VIOLATION, EXIT_PRECONDITION, EXIT_CAP}) == 4
 

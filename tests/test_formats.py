@@ -2,6 +2,7 @@
 
 import io
 import random
+import sys
 import tempfile
 from array import array
 from collections import Counter
@@ -155,6 +156,10 @@ class TestParseAutomaton:
             assert_checked(serialize_automaton(nfa), fields)
 
 
+_HEADER = "nfa 2\nalphabet a\ninitial 0\nfinal 1\n"
+_LONG = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "parse,text,message",
     [
@@ -170,6 +175,73 @@ class TestParseAutomaton:
         (parse_graph, "graph two\n", "line 1: vertex count must be an integer, got 'two'"),
         (parse_graph, "graph -3\n", "line 1: vertex count must be nonnegative"),
         (parse_graph, "graph 2\nedge 0 1\ngraph 2\n", "line 3: duplicate 'graph' header"),
+        # parse_automaton checks a trans line's states in its line loop and
+        # the symbols after the missing-line checks; the first error must
+        # be the one a line-by-line reader gives.
+        pytest.param(
+            parse_automaton,
+            _HEADER + "trans 0 a 2\nalphabet b\n",
+            "line 5: state 2 out of range for 2 states",
+            id="bad-trans-state-then-duplicate-alphabet",
+        ),
+        pytest.param(
+            parse_automaton,
+            "nfa 2\nalphabet a\nalphabet b\ninitial 0\nfinal 1\ntrans 0 a 2\n",
+            "line 3: duplicate 'alphabet' line",
+            id="duplicate-alphabet-then-bad-trans-state",
+        ),
+        pytest.param(
+            parse_automaton,
+            "nfa 2\nalphabet a\ninitial x\nfinal 1\ntrans 0 a 5\n",
+            "line 3: state must be an integer, got 'x'",
+            id="bad-initial-token-then-bad-trans-target",
+        ),
+        pytest.param(
+            parse_automaton,
+            _HEADER + "trans 0 b 1\ntrans 0 a 1\ntrans 1 a 1\ntrans 1 a 0\ntrans 1 a 2\n",
+            "line 9: state 2 out of range for 2 states",
+            id="unknown-symbol-then-bad-target",
+        ),
+        pytest.param(
+            parse_automaton,
+            "nfa 2\nalphabet a\ninitial 0\ntrans 0 b 1\n",
+            "missing 'final' line",
+            id="unknown-symbol-and-missing-final",
+        ),
+        pytest.param(
+            parse_automaton,
+            _HEADER + "trans 3 a x\n",
+            "line 5: state 3 out of range for 2 states",
+            id="bad-source-and-bad-target",
+        ),
+        pytest.param(
+            parse_automaton,
+            _HEADER + "trans 0 a -1\ntrans 0 a\n",
+            "line 5: state -1 out of range for 2 states",
+            id="bad-state-then-wrong-token-count",
+        ),
+        pytest.param(
+            parse_automaton,
+            _HEADER + f"trans 0 a 1\ntrans 0 a {_LONG}\n",
+            f"line 6: state must be an integer, got {_LONG!r}",
+            id="token-past-the-digit-limit",
+            marks=pytest.mark.skipif(
+                not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(_LONG),
+                reason="needs an int digit limit below 5000",
+            ),
+        ),
+        pytest.param(
+            parse_automaton,
+            "nfa 2\ninitial 0\nfinal 1\nalphabet a b\ninitial 1\n",
+            "line 5: duplicate 'initial' line",
+            id="no-trans-lines-duplicate-initial",
+        ),
+        pytest.param(
+            parse_automaton,
+            "nfa 2\ninitial 0\nfinal 1\n",
+            "missing 'alphabet' line",
+            id="no-trans-lines-missing-alphabet",
+        ),
     ],
 )
 def test_header_errors(parse, text, message):
