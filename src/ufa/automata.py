@@ -434,11 +434,12 @@ def _unambiguity(nfa: Nfa, tables=None):
     tables = tables or _tables_of(nfa)
     fwd_parent, bwd_parent = {}, {}
     if n * n * (len(nfa.alphabet) + 1) > _PAIR_BITS:
-        fwd_order = list(_pair_search(nfa, fwd_parent, tables(FORWARD), nfa.initial))
-        for _ in _pair_search(nfa, bwd_parent, tables(BACKWARD), nfa.final, fwd_parent):
+        # No live rows, so no parent entry is deleted: fwd_parent keeps discovery order.
+        fwd_search = _pair_search(nfa, fwd_parent, tables(FORWARD), nfa.initial)
+        for _ in chain(fwd_search, _pair_search(nfa, bwd_parent, tables(BACKWARD), nfa.final, fwd_parent)):
             pass
-        pairs = (divmod(code, n) for code in fwd_order)
-        target = next((code for code in fwd_order if code in bwd_parent and code // n != code % n), None)
+        pairs = (divmod(code, n) for code in fwd_parent)
+        target = next((code for code in fwd_parent if code in bwd_parent and code // n != code % n), None)
     else:
         forward = _pair_kernel(tables(FORWARD), tables(FORWARD, True), n)
         target, seen, live = _witness_pair(nfa, fwd_parent, tables, forward)

@@ -19,8 +19,8 @@ header lines may appear in any order but only once.  Serialization is
 canonical (sorted state sets, transitions by source then alphabet position
 then target, edges lexicographic with u < v), so parse and serialize are
 mutually inverse and repeated runs are byte-identical.  The ``trans``
-lines' symbols are checked in bulk, by one set test after the line loop,
-and walked line by line only to name the first unknown one.
+lines' symbols are checked in bulk, by one set test after the line loop;
+a failure walks the text again to name the first unknown one.
 
 write_subset_automaton writes a subset construction, or its complement, to
 a text stream straight from its row-major array of cells, in time linear
@@ -58,10 +58,9 @@ def _int_token(token: str, what: str, line: int) -> int:
 
 def _body_lines(text: str):
     for line_no, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield line_no, stripped.split()
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield line_no, tokens
 
 
 def _header_count(lines, keyword: str, noun: str) -> int:
@@ -103,8 +102,7 @@ def parse_automaton(text: str) -> Nfa:
     state_count = _header_count(lines, "nfa", "state count")
     alphabet = None
     state_sets = {"initial": None, "final": None}
-    # The trans lines' numbers, states and symbols, in four columns.
-    numbers, src, symbols, dst = [], [], [], []
+    src, symbols, dst = [], [], []
     for line_no, tokens in lines:
         keyword = tokens[0]
         if keyword == "trans":
@@ -119,7 +117,6 @@ def parse_automaton(text: str) -> Nfa:
                 # Some state is bad: these calls raise, the source's first.
                 _state_token(p, state_count, line_no)
                 _state_token(q, state_count, line_no)
-            numbers.append(line_no)
             src.append(source)
             symbols.append(symbol)
             dst.append(target)
@@ -146,9 +143,10 @@ def parse_automaton(text: str) -> Nfa:
             raise ParseError(f"missing '{name}' line")
     known = set(alphabet)
     if not known.issuperset(symbols):
-        for line_no, symbol in zip(numbers, symbols):
-            if symbol not in known:
-                raise ParseError(f"unknown symbol {symbol!r}", line_no)
+        # Every trans line has four tokens by now: walk the text again.
+        for line_no, tokens in _body_lines(text):
+            if tokens[0] == "trans" and tokens[2] not in known:
+                raise ParseError(f"unknown symbol {tokens[2]!r}", line_no)
     # Every rule Nfa.__post_init__ checks is checked above, and tokens are
     # nonempty and whitespace-free.
     return Nfa._trusted(

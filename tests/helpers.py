@@ -15,6 +15,19 @@ from hypothesis import strategies as st
 from ufa import DEFAULT_CAP, FORWARD, CapExceededError, Graph, Nfa
 
 
+def reference_body_lines(text: str) -> list:
+    """(line number, tokens) for each line a file reader acts on: each line
+    of ``str.splitlines``, numbered from 1, is stripped, skipped when empty
+    or a ``#`` comment, and split on whitespace."""
+    lines = []
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        lines.append((line_no, stripped.split()))
+    return lines
+
+
 def a_plus() -> Nfa:
     """Accepts one or more a's; both constructions have two states."""
     return Nfa(2, ("a",), {(0, "a", 1), (1, "a", 1)}, {0}, {1})

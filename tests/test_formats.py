@@ -30,7 +30,7 @@ from ufa import (
     write_subset_automaton,
 )
 from ufa import formats
-from helpers import a_plus, a_star, random_nfa, random_nfa_any, table_rows
+from helpers import a_plus, a_star, random_nfa, random_nfa_any, reference_body_lines, table_rows
 
 A_PLUS_TEXT = """nfa 2
 alphabet a
@@ -156,7 +156,25 @@ class TestParseAutomaton:
             assert_checked(serialize_automaton(nfa), fields)
 
 
+# str.split and str.strip skip the same whitespace, and str.splitlines
+# ends a line at more than "\n": \x0b, \x0c, \x1c-\x1e, \x85 and \u2028
+# are both whitespace and line ends.
+_SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+_BREAKS = ["\n", "\r\n", "\r"]
+_TOKENS = ["trans", "0", "a", "#", "#b", "b#", "a#b", "\u00e9"]
+
+
+def test_body_lines_match_the_strip_then_split_reader():
+    rng = random.Random(32)
+    for _ in range(2000):
+        pieces = rng.choices([_SPACES, _BREAKS, _TOKENS, ["# note", "#"]], k=rng.randint(0, 24))
+        text = "".join(rng.choice(kind) for kind in pieces)
+        assert list(formats._body_lines(text)) == reference_body_lines(text), repr(text)
+
+
 _HEADER = "nfa 2\nalphabet a\ninitial 0\nfinal 1\n"
+# An unknown symbol after blank, comment and indented comment lines.
+_PADDED = "nfa 2\n\nalphabet a\n# sets\ninitial 0\n\u3000# indented\n\n  \nfinal 1\ntrans 0 a 1\ntrans 0 b 1\n"
 _LONG = "9" * 5000
 
 
@@ -241,6 +259,44 @@ _LONG = "9" * 5000
             "nfa 2\ninitial 0\nfinal 1\n",
             "missing 'alphabet' line",
             id="no-trans-lines-missing-alphabet",
+        ),
+        # The unknown symbol's line comes from a second walk of the text.
+        pytest.param(
+            parse_automaton,
+            "nfa 2\ninitial 0\nfinal 1\ntrans 0 a 1\ntrans 0 c 1\ntrans 1 b 0\ntrans 1 d 1\nalphabet a b\n",
+            "line 5: unknown symbol 'c'",
+            id="alphabet-last-two-unknown-symbols",
+        ),
+        pytest.param(parse_automaton, _PADDED, "line 11: unknown symbol 'b'", id="unknown-symbol-after-comments"),
+        pytest.param(
+            parse_automaton,
+            _PADDED.replace("\n", "\r\n"),
+            "line 11: unknown symbol 'b'",
+            id="unknown-symbol-after-comments-crlf",
+        ),
+        pytest.param(
+            parse_automaton,
+            "nfa 2\nalphabet a\x0cinitial 0\nfinal 1\ntrans 0 b 1\n",
+            "line 5: unknown symbol 'b'",
+            id="unknown-symbol-after-form-feed",
+        ),
+        pytest.param(
+            parse_automaton,
+            "nfa 2\nalphabet a\ninitial 0\u2028final 1\ntrans 0 a 1\ntrans 1 b 1\n",
+            "line 6: unknown symbol 'b'",
+            id="unknown-symbol-after-line-separator",
+        ),
+        pytest.param(
+            parse_automaton,
+            "nfa 1\nalphabet a\ninitial 0\nfinal 0\ntrans 0 #b 0\n",
+            "line 5: unknown symbol '#b'",
+            id="unknown-symbol-starting-with-hash",
+        ),
+        pytest.param(
+            parse_automaton,
+            "nfa 1\nalphabet a #b\ninitial 0\nfinal 0\ntrans 0 #b 0\ntrans 0 z 0\n",
+            "line 6: unknown symbol 'z'",
+            id="known-symbol-starting-with-hash",
         ),
     ],
 )
