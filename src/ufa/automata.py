@@ -8,16 +8,22 @@ per direction (_index) or its packed rows, built at most once per public
 call (_tables_of) and never cached on the Nfa, which a construction keeps.
 
 The subset constructions represent a subset of base states as an int mask
-(bit q set iff state q is a member) at every width.  Each base state's
-one-letter images for all letters are packed into one int, and a subset's
-images are the OR of memoized chunk images, one per byte of its mask.
-Counting and building step one breadth-first worklist in batches: masks
-of up to 8 bytes one byte column of the whole batch at a time, wider ones
-one mask at a time over its nonzero bytes.  A narrow batch is ORed by
-subset, or by byte lane, one ``bytes.translate`` per column, when its
-images have fewer bytes (lanes) than it has subsets.  A batch's images
-split into one flat tuple of per-letter int fields (by ``struct`` when
-narrow), which one set difference counts or one lookup pass numbers.
+(bit q set iff state q is a member) at every width, and step one
+breadth-first worklist in both modes and both directions.  When each
+letter moves every state that has moves on it to one set T, as in
+bridge.graph_to_ufa's automata, a subset's image is T if a member has
+moves on that letter and the empty set if none has: the worklist is then
+walked a row at a time, one OR of per-state letter sets per row, and a
+built row is written by one int expression (_rectangle_rows).  Otherwise
+each base state's one-letter images for all letters are packed into one
+int, and a subset's images are the OR of memoized chunk images, one per
+byte of its mask, taken in batches (_packed_rows): masks of up to 8
+bytes one byte column of the whole batch at a time, wider ones one mask
+at a time over its nonzero bytes.  A narrow batch is ORed by subset, or
+by byte lane, one ``bytes.translate`` per column, when its images have
+fewer bytes (lanes) than it has subsets.  A batch's images split into
+one flat tuple of per-letter int fields (by ``struct`` when narrow),
+which one set difference counts or one lookup pass numbers.
 
 is_unambiguous answers a deterministic input, or its mirror image (as
 every complement is), from one set of its transitions, and otherwise
@@ -31,15 +37,14 @@ one by one, backward only over the pairs the forward search reached.
 complement_construction counts both sides without rows, then builds only
 the chosen one, capped at its counted size, with its transition table:
 one flat array, 2 bytes a cell up to 2**16 states; measure_constructions
-only counts.  A count stops before its worklist ends only when each
-letter's moves all lead to one set T, as in bridge.graph_to_ufa's
-automata: its images are then the empty set and T, and once all of them
-are known no later image is new.  So a counted side's size and its cap
-outcome are those of the full construction.  complement_ufa turns the
-chosen side into an Nfa without re-validating its triples; the
-``complement`` and ``determinize`` commands instead write the
-construction with formats.write_subset_automaton, straight from its
-cells in time linear in their number.
+only counts.  A count walked a row at a time stops once the empty set and
+every T are known, as no later image can be new; any other count runs to
+the end of its worklist.  So a counted side's size and its cap outcome
+are those of the full construction.  complement_ufa turns the chosen side
+into an Nfa without re-validating its triples; the ``complement`` and
+``determinize`` commands instead write the construction with
+formats.write_subset_automaton, straight from its cells in time linear
+in their number.
 """
 
 import struct
@@ -545,7 +550,7 @@ class SubsetAutomaton:
 
 
 def _mask(states) -> int:
-    return sum(1 << q for q in states)
+    return sum(map((1).__lshift__, states))
 
 
 # A batch's images fill about this many table cells, a cell wider than 8
@@ -606,69 +611,131 @@ class _Numbering(dict):
         return number
 
 
-def _two_images(index: dict):
-    """The images the letters of ``index`` (an _index table) can give a
-    subset, as masks, when the moves of each letter all lead to one set T:
-    then its images are 0 and T.  Else None."""
-    images = set()
+def _rectangles(index: dict):
+    """(moves, targets) when each letter of ``index`` (an _index table) is
+    a rectangle, moving every state that has moves on it to one set T,
+    else None: ``targets[j]`` is letter j's T as a mask (0 for a letter
+    with no moves), and ``moves`` maps each state with moves to an int with
+    bit j set iff it has moves on letter j."""
+    targets = []
     for column in index.values():
-        targets = set(column.values())
-        if len(targets) > 1:
+        values = iter(column.values())
+        first = next(values, ())
+        if any(map(first.__ne__, values)):
             return None
-        images |= {0, *map(_mask, targets)}
-    return images
+        targets.append(_mask(first))
+    rows = {q: bytearray(len(targets) + 7 >> 3) for q in set().union(*index.values())}
+    for j, column in enumerate(index.values()):
+        for q in column:
+            rows[q][j >> 3] |= 1 << (j & 7)
+    return {q: int.from_bytes(row, "little") for q, row in rows.items()}, targets
 
 
-def _determinize(nfa: Nfa, direction: str, cap: int, tables=None, rows: bool = True):
-    """The subset construction in ``direction``, as a SubsetAutomaton, on
-    ``tables``, the pair of its _index and the _pack rows of that (a build
-    reads only the rows), else on a pair of its own.
+def _steps_of(tables, direction: str):
+    """What _determinize steps on in ``direction``, read off ``tables``
+    (see _tables_of): (the _rectangles of its index, None) when all its
+    letters are rectangles, else (None, its _pack rows)."""
+    rectangles = _rectangles(tables(direction))
+    return (rectangles, None) if rectangles else (None, tables(direction, True))
 
-    One breadth-first worklist of int masks is taken in batches, whose
-    images are computed together, row-major in one flat tuple of int
-    fields.  Masks of at most 8 bytes are striped by byte column; a batch
-    of more subsets than its images have bytes (lanes) is stepped by lane
-    (_column_images), any other by subset (_row_images).  With ``rows``,
-    one pass of _Numbering lookups turns a batch's images into its rows, a
-    new subset numbered where it first occurs, and appends them to the
-    construction's ``cells``, one row-major ``array("H")`` when ``cap`` is
-    at most 2**16, else ``array("I")``.  Without, a batch's new subsets,
-    one set difference from the known ones, join the worklist in set
-    order; the return value is their number, with no table or ``marked``.
-    A count stops early when each letter's moves all lead to one set T
-    (they start at one state, or end at one): its images can only be the
-    empty set and T, and once all of these are known no image is new.
+
+def _letters_hit(moves: dict, mask: int) -> int:
+    """The OR of ``moves[q]`` (see _rectangles) over the members q of
+    ``mask``: the letters on which some member has moves."""
+    return reduce(or_, map(moves.get, _bits(mask), repeat(0)), 0)
+
+
+# Turns the digits of a set of letters, one "0" or "1" each, into one
+# byte each, all ones where the letter is in the set.
+_SPREAD = bytes.maketrans(b"01", b"\x00\xff")
+
+
+def _rectangle_rows(rectangles, subsets: list, numbering, typecode):
+    """The rows of the breadth-first worklist ``subsets`` (seed first,
+    extended in place) on ``rectangles`` (see _rectangles), as one
+    row-major array of ``typecode`` cells; with no typecode, only the
+    subsets, and None.
+
+    A row's image under letter j is T_j if the row hits j (a member has
+    moves on it), else the empty set, so one _letters_hit per row gives
+    it.  New images are numbered by ``numbering`` (a _Numbering) where a
+    row-major pass meets them: the T_j of letters hit for the first time,
+    in letter order, and the empty set at the row's first missed letter.
+    The cells of a row are ``zero ^ (diff & spread)`` on ints of its
+    bytes: ``zero`` holds the empty set's number in every cell, ``diff``
+    each T_j's number XOR that, and ``spread`` cell j all ones iff j is
+    hit.  Every image is the empty set or a T, so a count stops once all
+    of them are known.
     """
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    seed, mark_against = (nfa.initial, nfa.final) if direction == FORWARD else (nfa.final, nfa.initial)
-    index, packed = tables or (_index(nfa, direction), None)
-    if packed is None:
-        packed = _pack(index, nfa.state_count)
-    # The images a count can find and has not yet: it stops when none are
-    # left.  None when rows are kept or a letter has more than two.  Only
-    # this reads the index, which is not kept through the worklist.
-    unknown = None if rows else _two_images(index)
-    index = None
-    width = _byte_width(nfa.state_count)
-    # packed[q] holds q's one-letter image under alphabet[j] in bytes
-    # [j * width, (j + 1) * width); n * |alphabet| * width bytes in all.
+    moves, targets = rectangles
+    letters = len(targets)
+    images = len({0, subsets[0], *targets})
+    number = numbering.__getitem__
+    cells = array(typecode or "I")
+    # numbers[j] is T_j's number once j is hit; seen has the letters hit.
+    numbers = array(cells.typecode, bytes(letters * cells.itemsize))
+    spread = bytearray(letters * cells.itemsize)
+    empty = None if subsets[0] else 0
+    seen = zero = diff = 0
+    for mask in subsets:
+        if not typecode and len(subsets) == images:
+            break
+        hits = _letters_hit(moves, mask)
+        # Byte j all ones iff letter j is hit.
+        flags = bin(hits | 1 << letters)[:2:-1].encode().translate(_SPREAD)
+        # The letters hit for the first time and, while the empty set is
+        # unknown, the first letter missed, in letter order.
+        new = hits & ~seen | (~hits & hits + 1 & (1 << letters) - 1 if empty is None else 0)
+        seen |= hits
+        # Read off the digits: _bits would take time quadratic in letters.
+        for j in compress(count(), bin(new)[:1:-1].encode().translate(_SPREAD)):
+            if flags[j]:
+                numbers[j] = number(targets[j])
+            else:
+                empty = number(0)
+        if new and typecode:
+            zero = int.from_bytes(array(typecode, [empty or 0]) * letters, "little")
+            diff = int.from_bytes(numbers, "little") ^ zero
+        if typecode:
+            # Each flag widened to a cell.
+            for k in range(cells.itemsize):
+                spread[k::cells.itemsize] = flags
+            row = zero ^ (diff & int.from_bytes(spread, "little"))
+            cells.frombytes(row.to_bytes(len(spread), "little"))
+    return cells if typecode else None
+
+
+def _packed_rows(packed: dict, n: int, letters: int, subsets: list, numbering, typecode):
+    """_rectangle_rows's result for an automaton on n states and
+    ``letters`` letters, one of which is no rectangle (so n > 1 and
+    letters > 0), stepped on its _pack rows ``packed``: the worklist is
+    taken in batches, whose images are computed together, row-major in one
+    flat tuple of int fields.  Masks of at most 8 bytes are striped by byte
+    column; a batch of more subsets than its images have bytes (lanes) is
+    stepped by lane (_column_images), any other by subset (_row_images).
+    With a typecode, one pass of ``numbering`` lookups turns a batch's
+    images into its rows, a new subset numbered where it first occurs.
+    Without, a batch's new subsets, one set difference from the known
+    ones, join the worklist in set order.
+    """
+    width = _byte_width(n)
+    # packed[q] holds q's one-letter image under letter j in bytes
+    # [j * width, (j + 1) * width); n * letters * width bytes in all.
     narrow = width <= 8
-    letters = len(nfa.alphabet)
     lanes = letters * width
-    size = max(1, _BATCH_CELLS // ((letters or 1) * -(-width // 8)))
+    size = max(1, _BATCH_CELLS // (letters * -(-width // 8)))
     # Memos of _part, keyed by what is used, as n may be huge: per byte
     # column i by byte when narrow, else one by 256 * i + byte.
-    parts = [{0: 0} for _ in range((nfa.state_count + 7) // 8 or 1)] if narrow else {}
+    parts = [{0: 0} for _ in range((n + 7) // 8)] if narrow else {}
     # _column_images's, made on its first call.
     lane_tables = []
     if narrow:
         code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
     else:
-        # Cuts an image's bytes into its letter fields, a tuple whatever
-        # the letter count (itemgetter of one slice returns it bare).
+        # Cuts an image's bytes into its letter fields, a tuple also for
+        # one letter (itemgetter of one slice returns it bare).
         fields = map(slice, range(0, lanes, width), range(width, lanes + width, width))
-        cut = itemgetter(*fields) if letters > 1 else lambda piece: (piece,) * letters
+        cut = itemgetter(*fields) if letters > 1 else lambda piece: (piece,)
 
     def image(mask):
         found = 0
@@ -684,7 +751,7 @@ def _determinize(nfa: Nfa, direction: str, cap: int, tables=None, rows: bool = T
 
     def images(batch):
         """The images of the subsets of ``batch``, row-major in one flat
-        tuple: ``len(alphabet)`` fields per subset, in batch order."""
+        tuple: ``letters`` fields per subset, in batch order."""
         if narrow:
             # Stripe i holds byte i of each subset.  By lane when that
             # takes fewer calls: lanes x columns, not subsets x columns.
@@ -699,35 +766,54 @@ def _determinize(nfa: Nfa, direction: str, cap: int, tables=None, rows: bool = T
         found = map(int.to_bytes, map(image, batch), repeat(lanes), repeat("little"))
         return tuple(map(int.from_bytes, chain.from_iterable(map(cut, found)), repeat("little")))
 
-    # The breadth-first worklist; counting appends each batch's new
-    # subsets in set order.
-    subsets = [_mask(seed)]
-    if rows:
-        number = _Numbering(subsets, direction, cap).__getitem__
+    if typecode:
+        number = numbering.__getitem__
         # Numbers stay below the cap.  struct.pack's native "=" layout is
         # the array's; fromlist on "H" parses each item slowly.
-        cells = array("H" if cap <= 1 << 16 else "I")
+        cells = array(typecode)
     else:
         known = set(subsets)
-        if unknown:
-            unknown -= known
     done = 0
-    while done < len(subsets) and unknown != set():
+    while done < len(subsets):
         batch = subsets[done:done + size]
         done += len(batch)
         found = images(batch)
-        if rows:
-            cells.frombytes(struct.pack(f"={len(found)}{cells.typecode}", *map(number, found)))
+        if typecode:
+            cells.frombytes(struct.pack(f"={len(found)}{typecode}", *map(number, found)))
         else:
             new = set(found) - known
-            # Checked before storing, so the partial count is cap, as
+            # Checked before storing, so the partial count is the cap, as
             # when rows are kept.
-            if len(known) + len(new) > cap:
-                raise CapExceededError(direction, cap, cap)
+            if len(known) + len(new) > numbering.cap:
+                raise CapExceededError(numbering.direction, numbering.cap, numbering.cap)
             known |= new
             subsets += new
-            if unknown:
-                unknown -= new
+    return cells if typecode else None
+
+
+def _determinize(nfa: Nfa, direction: str, cap: int, steps=None, rows: bool = True):
+    """The subset construction in ``direction``, as a SubsetAutomaton, on
+    ``steps`` (see _steps_of), else on its own.
+
+    One breadth-first worklist of int masks is stepped, by
+    _rectangle_rows when each letter's moves all lead to one set T (they
+    start at one state, or end at one, as in bridge.graph_to_ufa's
+    automata), else by _packed_rows.  With ``rows``, the rows are appended
+    to the construction's ``cells``, one row-major ``array("H")`` when
+    ``cap`` is at most 2**16, else ``array("I")``.  Without, the return
+    value is the number of subsets, with no table or ``marked``.
+    """
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    seed, mark_against = (nfa.initial, nfa.final) if direction == FORWARD else (nfa.final, nfa.initial)
+    rectangles, packed = steps or _steps_of(_tables_of(nfa), direction)
+    subsets = [_mask(seed)]
+    numbering = _Numbering(subsets, direction, cap)
+    typecode = ("H" if cap <= 1 << 16 else "I") if rows else None
+    if rectangles:
+        cells = _rectangle_rows(rectangles, subsets, numbering, typecode)
+    else:
+        cells = _packed_rows(packed, nfa.state_count, len(nfa.alphabet), subsets, numbering, typecode)
     if not rows:
         return len(subsets)
     against = _mask(mark_against)
@@ -735,24 +821,24 @@ def _determinize(nfa: Nfa, direction: str, cap: int, tables=None, rows: bool = T
     return SubsetAutomaton(nfa, direction, tuple(subsets), cells, marked)
 
 
-def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP, *, _tables=None) -> SubsetAutomaton:
+def forward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP, *, _steps=None) -> SubsetAutomaton:
     """Subset construction from the initial set.
 
     Discovers exactly the subsets reachable by one-letter images, breadth
     first, seed first.  Raises CapExceededError once more than ``cap``
-    subsets would be recorded.  ``_tables``: complement_construction's
+    subsets would be recorded.  ``_steps``: complement_construction's
     (see _determinize).
     """
-    return _determinize(nfa, FORWARD, cap, _tables)
+    return _determinize(nfa, FORWARD, cap, _steps)
 
 
-def backward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP, *, _tables=None) -> SubsetAutomaton:
+def backward_determinize(nfa: Nfa, cap: int = DEFAULT_CAP, *, _steps=None) -> SubsetAutomaton:
     """Subset construction from the final set along reversed transitions.
 
     Mirror image of forward_determinize; the resulting automaton is
     backward-deterministic and hence unambiguous.
     """
-    return _determinize(nfa, BACKWARD, cap, _tables)
+    return _determinize(nfa, BACKWARD, cap, _steps)
 
 
 @dataclass(frozen=True)
@@ -836,19 +922,20 @@ def complement_construction(nfa: Nfa, cap: int = DEFAULT_CAP):
     ok, witness = is_unambiguous(nfa, _tables=tables)
     if not ok:
         raise AmbiguousAutomatonError(witness)
-    sizes = []
+    steps, sizes = {}, []
     for direction in (FORWARD, BACKWARD):
+        steps[direction] = _steps_of(tables, direction)
         try:
-            sizes.append(_determinize(nfa, direction, cap, (tables(direction), tables(direction, True)), rows=False))
+            sizes.append(_determinize(nfa, direction, cap, steps[direction], rows=False))
         except CapExceededError:
             sizes.append(None)
     if sizes == [None, None]:
         raise CapExceededError("both", cap, cap)
     report = BoundReport(nfa.state_count, *sizes)
     construct = forward_determinize if report.chosen == FORWARD else backward_determinize
-    # Only the chosen side's rows are kept through the build.
-    packed, tables = tables(report.chosen, True), None
-    return construct(nfa, report.result_states, _tables=(None, packed)), report
+    # Only the chosen side's steps are kept through the build.
+    kept, steps, tables = steps[report.chosen], None, None
+    return construct(nfa, report.result_states, _steps=kept), report
 
 
 def complement_ufa(nfa: Nfa, cap: int = DEFAULT_CAP):

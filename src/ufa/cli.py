@@ -55,6 +55,10 @@ class _UsageError(Exception):
     pass
 
 
+class _LetterCapError(Exception):
+    """graph-to-ufa would make more letters than the cap: exit 3."""
+
+
 def _resolve_cap(args) -> int:
     if args.cap is not None:
         cap = args.cap
@@ -180,7 +184,14 @@ def cmd_extract_graph(args) -> int:
 
 
 def cmd_graph_to_ufa(args) -> int:
+    cap = _resolve_cap(args)
     graph = parse_graph(_read_text(args.input))
+    # One letter per clique and coclique: counted, not listed, first.
+    if graphs.count_cliques(graph) + graphs.count_cocliques(graph) > cap:
+        raise _LetterCapError(
+            f"letter limit exceeded: the graph has more cliques and cocliques "
+            f"than the cap ({cap}), one letter each"
+        )
     automaton = bridge.graph_to_ufa(graph)
     print(f"n={graph.vertex_count} letters={len(automaton.alphabet)}")
     _emit(args, serialize_automaton(automaton))
@@ -315,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add(
         "graph-to-ufa", cmd_graph_to_ufa,
         "build the unambiguous automaton with one letter per clique and coclique",
-        reads="graph", writes=True,
+        reads="graph", writes=True, capped=True,
     )
     add(
         "count-cliques", cmd_count_cliques,
@@ -354,7 +365,7 @@ def main(argv=None) -> int:
         return code
     except (_UsageError, ParseError, AmbiguousAutomatonError, OSError) as exc:
         code, line = EXIT_PRECONDITION, f"error: {exc}"
-    except CapExceededError as exc:
+    except (CapExceededError, _LetterCapError) as exc:
         code, line = EXIT_CAP, f"error: {exc}"
     try:
         print(line, file=sys.stderr)

@@ -1251,11 +1251,14 @@ class TestByteLanes:
         base = nth_letter_dfa(min(n, 10)) if n > 1 else Nfa(1, ("a", "b"), {(0, "a", 0)}, {0}, {0})
         cases = [_padded(base, n - base.state_count), Nfa(n, (), set(), {0}, {n - 1})]
         cases += [_sparse_nfa(rng, n, letters) for letters in (1, 2, 3)]
+        # Every one-state input is stepped by _rectangle_rows (as is any
+        # input without letters), so the kernels see it only forked.
+        cases.append(_forked(base))
         for nfa in cases:
             _assert_both_modes_match_reference(nfa)
         _checked_orientations(setting, calls)
-        # One state has at most two subsets, too few for the rule to step
-        # a batch of them by lane.
+        # One state forked has four subsets forward and two backward, too
+        # few for the rule to step a batch of them by lane.
         by_lanes = any(name == "_column_images" and lanes for name, _, lanes in calls)
         assert by_lanes == ((setting, n) != ("rule", 1))
 
@@ -1283,6 +1286,10 @@ class TestByteLanes:
             Nfa(4, ("a", "b"), transitions, set(), {2}),
             Nfa(4, ("a", "b"), transitions, {0}, set()),
             Nfa(4, (), set(), set(), set()),
+            # Every state a seed: forward, the rule steps a batch of three
+            # subsets on two lanes by lane.  The inputs above without
+            # letters or moves are stepped by _rectangle_rows.
+            Nfa(4, ("a", "b"), transitions, {0, 1, 2, 3}, {2}),
         ):
             _assert_both_modes_match_reference(nfa)
         assert _checked_orientations(setting, calls) > 0
@@ -1308,11 +1315,11 @@ class TestByteLanes:
     def test_the_rule_picks_the_orientation(self):
         # Backward, nth-letter n = 12 has 4 lanes: by default its batches
         # of 8 to 1024 subsets are stepped by byte lane, and so are its
-        # full batches of 32 at 64 cells.  Witness n = 10 has 360 lanes,
-        # against full batches of 22 subsets: never.  Its count stops
-        # after one batch, so counting takes it with its first letter,
-        # c{}, moving out of two states into two: still 180 letters on
-        # 16 states or fewer, 360 lanes.
+        # full batches of 32 at 64 cells.  Witness n = 10's letters are
+        # rectangles, stepped by _rectangle_rows, so it is taken with its
+        # first letter, c{}, moving out of two states into two: still 180
+        # letters on 16 states or fewer, 360 lanes, against full batches
+        # of 22 subsets: never by lane.
         def batches(nfa, cells, rows):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(automata, "_BATCH_CELLS", cells)
@@ -1326,19 +1333,32 @@ class TestByteLanes:
             assert [name for name, _, _ in calls] == ["_row_images"] * 4 + ["_column_images"] * 8
             full = [name for name, subsets, _ in batches(nth_letter_dfa(12), 64, rows) if subsets == 32]
             assert full and set(full) == {"_column_images"}
-            witness = witness_ufa(10) if rows else _forked(witness_ufa(10), "c{}")
-            calls = batches(witness, automata._BATCH_CELLS, rows)
+            calls = batches(_forked(witness_ufa(10), "c{}"), automata._BATCH_CELLS, rows)
             assert {name for name, _, _ in calls} == {"_row_images"}
             assert ("_row_images", 22, 360) in calls
 
 
+def _row_calls(monkeypatch) -> list:
+    """A list that gets the mask of each row _rectangle_rows steps."""
+    rows = []
+    hits = automata._letters_hit
+
+    def spy(moves, mask):
+        rows.append(mask)
+        return hits(moves, mask)
+
+    monkeypatch.setattr(automata, "_letters_hit", spy)
+    return rows
+
+
 def _stepped(nfa, direction):
-    """The count of ``nfa``'s ``direction`` side, and how many subsets it
-    stepped (took the images of) before it stopped."""
+    """The count of ``nfa``'s ``direction`` side, and how many rows it
+    stepped (took the images of) before it stopped: by _rectangle_rows,
+    or in the batches of _packed_rows."""
     with pytest.MonkeyPatch.context() as patch:
-        calls = _image_calls(patch)
+        calls, rows = _image_calls(patch), _row_calls(patch)
         size = _rows_free(nfa, direction, DEFAULT_CAP)
-    return size, sum(subsets for _, subsets, _ in calls)
+    return size, sum(subsets for _, subsets, _ in calls) + len(rows)
 
 
 def _graph_automata():
@@ -1389,8 +1409,8 @@ def _kept_source_nfa(rng) -> Nfa:
 class TestCountStopsAtTheKnownImages:
     """A count whose letters each move out of one state or into one stops
     once every image they can give is known, with the oracle's size and
-    the rows-mode cap outcomes.  Stopped early, it never steps the subsets
-    its last batch found; otherwise it steps every subset."""
+    the rows-mode cap outcomes.  Stopped early, it steps fewer rows than
+    it counts; otherwise it steps every row."""
 
     def _check(self, nfa, fires=None):
         caps = set()
@@ -1421,7 +1441,7 @@ class TestCountStopsAtTheKnownImages:
         for _ in range(300):
             self._check(_two_image_nfa(rng))
 
-    def test_witness_16_counts_in_one_batch_each_way(self):
+    def test_witness_16_counts_in_one_row_each_way(self):
         nfa = witness_ufa(16)
         for direction, size in zip((FORWARD, BACKWARD), _witness_sizes(16)):
             assert _stepped(nfa, direction) == (size, 1)
@@ -1430,6 +1450,93 @@ class TestCountStopsAtTheKnownImages:
         for n in range(23):
             report = measure_constructions(witness_ufa(n))
             assert (report.k, report.l) == _witness_sizes(n)
+
+
+def _rectangle_nfa(rng, n: int, letters: int) -> Nfa:
+    """A random automaton on n states whose letters are rectangles: each
+    moves every state of a random source set to one set T, drawn fresh or
+    from two that letters share, or has no moves.  The initial and final
+    sets are random, of any size."""
+    alphabet = tuple(f"a{j}" for j in range(letters))
+    shared = [[r for r in range(n) if rng.random() < 0.3] for _ in range(2)]
+    transitions = set()
+    for a in alphabet:
+        kind = rng.random()
+        if kind < 0.15:
+            continue
+        targets = rng.choice(shared) if kind < 0.45 else [r for r in range(n) if rng.random() < 0.3]
+        sources = [q for q in range(n) if rng.random() < 0.3]
+        transitions |= {(q, a, r) for q in sources for r in targets}
+    initial = {q for q in range(n) if rng.random() < 0.4}
+    final = {q for q in range(n) if rng.random() < 0.4}
+    return Nfa(n, alphabet, transitions, initial, final)
+
+
+def _rectangle_cases():
+    rng = random.Random(83)
+    cases = [_rectangle_nfa(rng, rng.randint(0, 9), rng.randint(0, 5)) for _ in range(200)]
+    cases += [_rectangle_nfa(rng, n, rng.randint(1, 4)) for n in (63, 64, 65, 70, 130) for _ in range(4)]
+    return cases + _graph_automata()
+
+
+def _built(nfa, direction, cap):
+    result = automata._determinize(nfa, direction, cap)
+    return result.masks, result.cells.typecode, result.cells.tolist(), result.marked
+
+
+def _reference_built(nfa, direction, cap):
+    states, table, _, marked = reference_determinize(nfa, direction, cap)
+    masks = tuple(sum(1 << q for q in state) for state in states)
+    return masks, "H" if cap <= 1 << 16 else "I", [j for row in table for j in row], marked
+
+
+class TestRectangleRows:
+    """_rectangle_rows, which steps every automaton whose letters each
+    move all their sources to one set, against the frozenset oracle in
+    rows and count mode, both ways, at caps next to the size and on both
+    sides of 2**16: the same masks, cells, cell type and marking, or the
+    same cap error."""
+
+    def test_every_cap_gives_the_reference_outcome(self):
+        for nfa in _rectangle_cases():
+            for direction in (FORWARD, BACKWARD):
+                assert automata._rectangles(_index(nfa, direction)) is not None
+                size = _reference_size(nfa, direction, DEFAULT_CAP)
+                for cap in sorted({size - 1, size, size + 1, 1 << 16, (1 << 16) + 1} - {0}):
+                    with pytest.MonkeyPatch.context() as patch:
+                        calls = _image_calls(patch)
+                        built = _size_outcome(_built, nfa, direction, cap)
+                        counted = _size_outcome(_rows_free, nfa, direction, cap)
+                    expected = _size_outcome(_reference_built, nfa, direction, cap)
+                    assert built == expected
+                    assert counted == (expected if expected[0] == "cap" else size)
+                    assert calls == []
+
+    def test_the_empty_set_is_numbered_at_the_first_missed_letter(self):
+        # Forward, the seed {0} misses a, which moves only 1, and hits b:
+        # the empty set is numbered before b's {1}.
+        nfa = Nfa(2, ("a", "b"), {(1, "a", 0), (0, "b", 1)}, {0}, {1})
+        result = forward_determinize(nfa)
+        assert result.masks == (0b01, 0b00, 0b10)
+        assert result.cells.tolist() == [1, 2, 1, 1, 0, 1]
+        assert _built(nfa, FORWARD, DEFAULT_CAP) == _reference_built(nfa, FORWARD, DEFAULT_CAP)
+
+    def test_a_count_waits_for_the_empty_set(self):
+        # Forward, the seed {0, 1} hits both letters and finds both Ts,
+        # {1} and {0}; the empty set is found only from {1}, which misses a.
+        nfa = Nfa(2, ("a", "b"), {(0, "a", 1), (1, "b", 0)}, {0, 1}, {0})
+        assert _stepped(nfa, FORWARD) == (4, 2)
+        for direction in (FORWARD, BACKWARD):
+            assert _rows_free(nfa, direction, DEFAULT_CAP) == _reference_size(nfa, direction, DEFAULT_CAP)
+
+    def test_witness_16_is_measured_on_its_two_seed_rows(self):
+        # Letters without moves (c{} and i{}) give only the empty set, so
+        # they do not hold a count back.
+        with pytest.MonkeyPatch.context() as patch:
+            rows = _row_calls(patch)
+            report = measure_constructions(witness_ufa(16))
+        assert (report.k, report.l) == _witness_sizes(16)
+        assert rows == [0b1, 0b1]
 
 
 def _recording_determinize(calls: list):

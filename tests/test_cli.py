@@ -26,7 +26,7 @@ from ufa import (
 )
 from ufa.bridge import graph_to_ufa, witness_ufa
 from ufa.cli import EXIT_CAP, EXIT_OK, EXIT_PRECONDITION, EXIT_VIOLATION, _digits
-from helpers import complete_graph, language, run_cli
+from helpers import complete_graph, language, random_graph, run_cli
 
 A_PLUS = "nfa 2\nalphabet a\ninitial 0\nfinal 1\ntrans 0 a 1\ntrans 1 a 1\n"
 A_STAR = "nfa 1\nalphabet a\ninitial 0\nfinal 0\ntrans 0 a 0\n"
@@ -456,6 +456,51 @@ class TestOversizedHeaderCounts:
         assert _run_limited(["count-cliques", str(path)]) == (
             EXIT_PRECONDITION, "", f"error: line 1: vertex count must be at most {sys.maxsize}\n"
         )
+
+
+def _letter_cap_error(cap: int) -> str:
+    return (
+        f"error: letter limit exceeded: the graph has more cliques and "
+        f"cocliques than the cap ({cap}), one letter each\n"
+    )
+
+
+class TestGraphToUfaCap:
+    """graph-to-ufa counts its letters, one per clique and coclique,
+    before it makes any: more than --cap or UFA_CAP exits 3 with one error
+    line and writes nothing; up to the cap the output is unchanged."""
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+    @pytest.mark.parametrize("text", ["graph 60\n", "graph 20000\nedge 0 1\n"])
+    def test_more_letters_than_the_default_cap(self, tmp_path, text):
+        # 2**60 + 61 and about 2**20000 letters: listing them ended in a
+        # SystemError and a MemoryError traceback, both with exit 1.
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        written = tmp_path / "a.nfa"
+        assert _run_limited(["graph-to-ufa", str(path), "-o", str(written)], timeout=30) == (
+            EXIT_CAP, "", _letter_cap_error(1 << 20)
+        )
+        assert not written.exists()
+
+    def test_the_cap_is_the_letter_count(self, tmp_path, capsys, monkeypatch):
+        rng = random.Random(89)
+        for i in range(20):
+            g = random_graph(rng, rng.randint(0, 7), rng.random())
+            path = tmp_path / f"g{i}.graph"
+            path.write_text(serialize_graph(g))
+            letters = len(graph_to_ufa(g).alphabet)
+            expected = f"n={g.vertex_count} letters={letters}\n" + serialize_automaton(graph_to_ufa(g))
+            assert run_cli(["graph-to-ufa", str(path)], capsys) == (EXIT_OK, expected, "")
+            for cap in (letters, letters + 1):
+                assert run_cli(["graph-to-ufa", str(path), "--cap", str(cap)], capsys) == (EXIT_OK, expected, "")
+            # Every graph has the empty clique and the empty coclique.
+            assert run_cli(["graph-to-ufa", str(path), "--cap", str(letters - 1)], capsys) == (
+                EXIT_CAP, "", _letter_cap_error(letters - 1)
+            )
+            monkeypatch.setenv("UFA_CAP", str(letters - 1))
+            assert run_cli(["graph-to-ufa", str(path)], capsys) == (EXIT_CAP, "", _letter_cap_error(letters - 1))
+            monkeypatch.delenv("UFA_CAP")
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
